@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DiracBVPError, DomainError, GridMismatchError,
                      IntegrationOverflowError, MissingRootError,
-                     NonProportionalError, PoleError)
+                     NonProportionalError, PoleError, RootRefinementError)
 from .model import (BoundaryParams, PotentialSpec, ProblemConfig, Weight,
                     config_from_dict, config_to_dict, load_config, mu, omega_at,
                     rho_at, save_config)

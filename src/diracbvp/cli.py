@@ -105,8 +105,6 @@ def cmd_eigs(args) -> int:
 def _weyl_rows(config, lams, data):
     lams = np.asarray(lams, dtype=complex)
     _, psis, _ = integrator.psi_many(config, lams)
-    _, phis, _ = integrator.phi_many(config, lams)
-    _, cs, _ = integrator.c_many(config, lams)
     b = config.boundary
     for i, lam in enumerate(lams):
         dval = charfn.u1_form(config, lam, psis[i, 0, 0], psis[i, 0, 1])

@@ -1,8 +1,9 @@
 """Real eigenvalue location, norming constants, and spectral identities.
 
 Roots of the characteristic function are bracketed around closed-form
-asymptotic seeds and refined by batched bisection with a secant polish; all
-heavy evaluations run as single batched propagations.
+asymptotic seeds and refined by batched Illinois regula falsi (Dowell and
+Jarratt 1971), the one root refiner of the package, which the inverse solver
+shares; all heavy evaluations run as single batched propagations.
 """
 from __future__ import annotations
 
@@ -14,13 +15,17 @@ from typing import Tuple
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import MissingRootError, NonProportionalError
+from .errors import MissingRootError, NonProportionalError, RootRefinementError
 from .model import PI, ProblemConfig, config_fingerprint, mu
 from . import charfn, expansion, integrator
 
 _DEDUP_TOL = 1e-8
 _SIMPLE_TOL = 1e-6
 _PROP_RESIDUAL_TOL = 1e-5
+#: root refinement stops once its step or bracket is this small, relative to
+#: max(1, |lambda|); Illinois regula falsi gets there in well under 10 sweeps
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -111,27 +116,32 @@ def _real_delta(config: ProblemConfig, lams) -> np.ndarray:
     return np.real(charfn.delta_many(config, np.asarray(lams, dtype=float)))
 
 
-def _refine_brackets(config: ProblemConfig, lo, hi, flo, iters=48):
-    """Batched bisection, then two secant steps for a machine-level polish."""
-    lo = np.array(lo, float)
-    hi = np.array(hi, float)
-    flo = np.array(flo, float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = _real_delta(config, mid)
-        take_left = (flo * fmid) <= 0.0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        flo = np.where(take_left, flo, fmid)
-    roots = 0.5 * (lo + hi)
-    for _ in range(2):
-        h = np.maximum(1e-9, 1e-9 * np.abs(roots))
-        vals = _real_delta(config, np.concatenate([roots, roots + h]))
-        f0, f1 = vals[: len(roots)], vals[len(roots):]
-        slope = (f1 - f0) / h
-        step = np.where(slope != 0.0, f0 / np.where(slope == 0.0, 1.0, slope), 0.0)
-        roots = np.where(np.abs(step) < 1e-6, roots - step, roots)
-    return roots
+def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
+    """Batched Illinois regula falsi: one root of Delta in each bracket.
+
+    ``flo`` and ``fhi`` are Delta at the bracket ends and must not share a
+    sign.  Every sweep evaluates the whole batch, converged entries at their
+    roots, so the batch's max|lambda| (and with it the grid) stays put.
+    """
+    # b is the latest iterate and a the retained end; fa and fb never share
+    # a sign, so [a, b] always brackets the root
+    a, b = np.array(lo, float), np.array(hi, float)
+    fa, fb = np.array(flo, float), np.array(fhi, float)
+    b, fb = np.where(fa == 0.0, a, b), np.where(fa == 0.0, 0.0, fb)
+    done = fb == 0.0
+    for _ in range(_MAX_SWEEPS):
+        c = np.where(done, b, b - fb * (b - a) / np.where(done, 1.0, fb - fa))
+        done |= np.abs(c - b) <= _ROOT_RTOL * np.maximum(1.0, np.abs(c))
+        if done.all():
+            return c
+        fc = _real_delta(config, c)
+        keep_a = fc * fb > 0.0
+        # Illinois: halve the retained end's value so it cannot stall
+        fa = np.where(keep_a, 0.5 * fa, fb)
+        a = np.where(keep_a, a, b)
+        b, fb = c, fc
+        done |= (fb == 0.0) | (np.abs(b - a) <= _ROOT_RTOL * np.maximum(1.0, np.abs(b)))
+    raise RootRefinementError(_MAX_SWEEPS, b[~done])
 
 
 def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralDataSet:
@@ -153,7 +163,7 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
     flat = np.concatenate(windows)
     fvals = _real_delta(config, flat)
 
-    lo, hi, flo = [], [], []
+    lo, hi, flo, fhi = [], [], [], []
     missing = []
     pos = 0
     for n, pts in zip(ns, windows):
@@ -168,8 +178,9 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
             lo.append(pts[j])
             hi.append(pts[j + 1])
             flo.append(vals[j])
+            fhi.append(vals[j + 1])
 
-    roots = _refine_brackets(config, lo, hi, flo) if lo else np.array([])
+    roots = _refine_roots(config, lo, hi, flo, fhi) if lo else np.array([])
     roots = np.sort(roots)
     if len(roots):
         keep = np.concatenate([[True], np.diff(roots) > _DEDUP_TOL * (1 + np.abs(roots[1:]))])
@@ -199,8 +210,7 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
 
 def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
     roots = np.asarray(roots, float)
-    alphas = _alphas_batch(config, roots)
-    betas, residuals = _betas_batch(config, roots)
+    alphas, betas, _ = _per_root(config, roots)
     ddots = np.real(charfn.delta_dot_many(config, roots))
     data = []
     for i, n in enumerate(ns):
@@ -220,11 +230,11 @@ def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
 # Per-root quantities
 # ---------------------------------------------------------------------------
 
-def _alphas_batch(config: ProblemConfig, roots) -> np.ndarray:
+def _alphas(config: ProblemConfig, xs, phis, ia) -> np.ndarray:
+    """Squared weighted norms of the real left-normalized solutions ``phis``."""
     b = config.boundary
-    xs, ys, ia = integrator.phi_many(config, np.asarray(roots, float))
-    f1 = ys[:, :, 0].real
-    f2 = ys[:, :, 1].real
+    f1 = phis[:, :, 0]
+    f2 = phis[:, :, 1]
     s = f1 ** 2 + f2 ** 2
     left = simpson(s[:, : ia + 1], x=xs[: ia + 1], axis=1)
     right = config.weight.alpha * simpson(s[:, ia:], x=xs[ia:], axis=1)
@@ -233,10 +243,19 @@ def _alphas_batch(config: ProblemConfig, roots) -> np.ndarray:
     return left + right + y3 ** 2 / b.k1 + y4 ** 2 / b.k2
 
 
-def _betas_batch(config: ProblemConfig, roots):
-    """Global least-squares ratio psi/phi over all samples and components."""
+def _alphas_batch(config: ProblemConfig, roots) -> np.ndarray:
+    xs, phis, ia = integrator.phi_many(config, np.asarray(roots, float))
+    return _alphas(config, xs, phis.real, ia)
+
+
+def _per_root(config: ProblemConfig, roots):
+    """alpha_n, beta_n and the proportionality residual of psi against phi.
+
+    One phi and one psi propagation serve all three; beta is the global
+    least-squares ratio psi/phi over all samples and components.
+    """
     roots = np.asarray(roots, float)
-    _, phis, _ = integrator.phi_many(config, roots)
+    xs, phis, ia = integrator.phi_many(config, roots)
     _, psis, _ = integrator.psi_many(config, roots)
     phis = phis.real
     psis = psis.real
@@ -245,27 +264,25 @@ def _betas_batch(config: ProblemConfig, roots):
     betas = num / den
     resid = (np.linalg.norm(psis - betas[:, None, None] * phis, axis=(1, 2))
              / np.linalg.norm(psis, axis=(1, 2)))
-    return betas, resid
+    return _alphas(config, xs, phis, ia), betas, resid
+
+
+def _checked_per_root(config: ProblemConfig, lambda_n: float):
+    """(alpha_n, beta_n) at lambda_n, which must be an eigenvalue."""
+    alphas, betas, residuals = _per_root(config, [lambda_n])
+    if residuals[0] > _PROP_RESIDUAL_TOL:
+        raise NonProportionalError(lambda_n, float(residuals[0]))
+    return float(alphas[0]), float(betas[0])
 
 
 def norming_constant(config: ProblemConfig, lambda_n: float) -> float:
     """Squared weighted norm of the eigen-element at a root of Delta."""
-    _assert_eigenvalue(config, lambda_n)
-    return float(_alphas_batch(config, [lambda_n])[0])
+    return _checked_per_root(config, lambda_n)[0]
 
 
 def beta(config: ProblemConfig, lambda_n: float) -> float:
     """Proportionality factor between the right- and left-normalized solutions."""
-    betas, residuals = _betas_batch(config, [lambda_n])
-    if residuals[0] > _PROP_RESIDUAL_TOL:
-        raise NonProportionalError(lambda_n, float(residuals[0]))
-    return float(betas[0])
-
-
-def _assert_eigenvalue(config: ProblemConfig, lambda_n: float) -> None:
-    _, residuals = _betas_batch(config, [lambda_n])
-    if residuals[0] > _PROP_RESIDUAL_TOL:
-        raise NonProportionalError(lambda_n, float(residuals[0]))
+    return _checked_per_root(config, lambda_n)[1]
 
 
 def orthogonality_check(config: ProblemConfig, data: SpectralDataSet) -> float:

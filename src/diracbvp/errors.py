@@ -48,6 +48,18 @@ class MissingRootError(DiracBVPError, RuntimeError):
         )
 
 
+class RootRefinementError(DiracBVPError, RuntimeError):
+    """Root refinement did not converge within its sweep cap."""
+
+    def __init__(self, sweeps, unconverged):
+        self.sweeps = sweeps
+        self.unconverged = tuple(unconverged)
+        super().__init__(
+            f"root refinement did not converge in {sweeps} sweeps "
+            f"for bracket(s) near {list(self.unconverged)}"
+        )
+
+
 class NonProportionalError(DiracBVPError, RuntimeError):
     """The left and right solutions are not proportional: not an eigenvalue."""
 

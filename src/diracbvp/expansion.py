@@ -6,7 +6,6 @@ rho and the scalars by 1/k1 and 1/k2.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,8 +15,6 @@ from scipy.integrate import cumulative_simpson, simpson
 from .errors import GridMismatchError, PoleError
 from .model import ProblemConfig
 from . import charfn, integrator
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -95,28 +92,14 @@ def inner(config: ProblemConfig, Y: HElement, Z: HElement) -> complex:
 
 
 def coefficients(config: ProblemConfig, data, f: HElement) -> np.ndarray:
-    """Expansion coefficients of f against the eigen-elements of ``data``.
-
-    The full inner product (integral plus boundary scalars) is used; the
-    integral-only variant is computed alongside and any disagreement is
-    logged rather than silently resolved.
-    """
+    """Expansion coefficients of f against the eigen-elements of ``data``,
+    by the full inner product (integral plus boundary scalars)."""
     if len(data) == 0:
         raise ValueError("empty spectral data set")
     _check_grid(config, f)
-    lambdas = [d.lambda_n for d in data]
-    elements = eigen_elements(config, lambdas)
-    out = np.empty(len(data), dtype=complex)
-    for i, (datum, el) in enumerate(zip(data, elements)):
-        full = inner(config, f, el) / datum.alpha_n
-        integral_only = (inner(config, f, HElement(el.xs, el.f1, el.f2, 0.0, 0.0))
-                         / datum.alpha_n)
-        gap = abs(full - integral_only)
-        if gap > 1e-6 * (1.0 + abs(full)):
-            log.debug("coefficient %d: full vs integral-only differ by %.3e",
-                      datum.n, gap)
-        out[i] = full
-    return out
+    elements = eigen_elements(config, [d.lambda_n for d in data])
+    return np.array([inner(config, f, el) / datum.alpha_n
+                     for datum, el in zip(data, elements)], dtype=complex)
 
 
 def parseval_defect(config: ProblemConfig, data, f: HElement) -> float:

@@ -3,9 +3,10 @@
 Boundary coefficients and the weight are assumed known; only the finitely
 parametrized potential pair (p, q) is recovered, by derivative-free
 minimization of a weighted data misfit.  Eigenvalues of a candidate
-potential are matched to the target ones by warm-started local root finding;
-a failed match contributes a penalty instead of raising, so the objective
-stays total.
+potential are matched to the target ones by a local sign-change scan around
+each target, refined by the eigensolver's batched Illinois regula falsi; a
+target without a bracket contributes a penalty instead of raising, so the
+objective stays total.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu
 from . import charfn, eigensolver
 
 _PENALTY = 1e6
-_ROOT_BISECT_ITERS = 26
-_ROOT_SECANT_ITERS = 4
 
 
 @dataclass(frozen=True)
@@ -102,49 +101,32 @@ def synthesize_data(config: ProblemConfig, N: int) -> eigensolver.SpectralDataSe
 
 
 # ---------------------------------------------------------------------------
-# Warm-started batched root matching
+# Batched root matching around the targets
 # ---------------------------------------------------------------------------
 
 def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
     """Nearest root of Delta to each target, or NaN where matching fails."""
     nscan = 9
     offsets = np.linspace(-half, half, nscan)
-    pts = (targets[:, None] + offsets[None, :]).ravel()
-    vals = np.real(charfn.delta_many(config, pts)).reshape(len(targets), nscan)
+    pts = targets[:, None] + offsets[None, :]
+    vals = np.real(charfn.delta_many(config, pts.ravel())).reshape(pts.shape)
 
-    lo = np.full(len(targets), np.nan)
-    hi = np.full(len(targets), np.nan)
-    flo = np.full(len(targets), np.nan)
+    rows, cols = [], []
     for i in range(len(targets)):
         sc = np.where(vals[i, :-1] * vals[i, 1:] <= 0.0)[0]
         if len(sc) == 0:
             continue
         # bracket nearest to the target
         centers = targets[i] + 0.5 * (offsets[sc] + offsets[sc + 1])
-        j = sc[np.argmin(np.abs(centers - targets[i]))]
-        lo[i], hi[i] = targets[i] + offsets[j], targets[i] + offsets[j + 1]
-        flo[i] = vals[i, j]
+        rows.append(i)
+        cols.append(sc[np.argmin(np.abs(centers - targets[i]))])
 
-    ok = ~np.isnan(lo)
     roots = np.full(len(targets), np.nan)
-    if np.any(ok):
-        lo_o, hi_o, flo_o = lo[ok], hi[ok], flo[ok]
-        for _ in range(_ROOT_BISECT_ITERS):
-            mid = 0.5 * (lo_o + hi_o)
-            fmid = np.real(charfn.delta_many(config, mid))
-            left = (flo_o * fmid) <= 0.0
-            hi_o = np.where(left, mid, hi_o)
-            lo_o = np.where(left, lo_o, mid)
-            flo_o = np.where(left, flo_o, fmid)
-        r = 0.5 * (lo_o + hi_o)
-        for _ in range(_ROOT_SECANT_ITERS):
-            h = 1e-8 * (1.0 + np.abs(r))
-            fv = np.real(charfn.delta_many(config, np.concatenate([r, r + h])))
-            f0, f1 = fv[: len(r)], fv[len(r):]
-            slope = np.where(f1 != f0, (f1 - f0) / h, 1.0)
-            step = f0 / slope
-            r = np.where(np.abs(step) < 1e-4, r - step, r)
-        roots[ok] = r
+    if rows:
+        rows, cols = np.array(rows), np.array(cols)
+        roots[rows] = eigensolver._refine_roots(
+            config, pts[rows, cols], pts[rows, cols + 1],
+            vals[rows, cols], vals[rows, cols + 1])
     # a match farther than the half-spacing window is a miss, never re-indexed
     roots[np.abs(roots - targets) > half] = np.nan
     return roots

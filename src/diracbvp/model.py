@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,14 +97,15 @@ class PotentialSpec:
 
     * ``piecewise`` -- m equal-length constant segments per component,
     * ``cosine``    -- coefficients of cos(k x), k = 0..m-1,
-    * ``callable``  -- arbitrary array-aware callables (not serializable).
+    * ``callable``  -- arbitrary array-aware callables (not serializable;
+      specs are equal only when they hold the same function objects).
     """
 
     kind: str
     p_params: tuple = ()
     q_params: tuple = ()
-    p_func: Optional[Callable] = field(default=None, compare=False)
-    q_func: Optional[Callable] = field(default=None, compare=False)
+    p_func: Optional[Callable] = None
+    q_func: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in ("piecewise", "cosine", "callable"):
