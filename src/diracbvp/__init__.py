@@ -18,8 +18,8 @@ from .eigensolver import (SpectralDataSet, SpectralDatum, beta,
 from .weyl import (WeylSample, residue_check, weyl_direct, weyl_sample,
                    weyl_series, weyl_solution)
 from .expansion import (HElement, coefficients, eigen_element,
-                        element_from_functions, expand, inner, parseval_defect,
-                        resolvent_apply, resolvent_residual)
+                        element_from_functions, expand, gram, inner,
+                        parseval_defect, resolvent_apply, resolvent_residual)
 from .inverse import (InverseProblem, PotentialBasis, ReconstructionResult,
                       misfit, reconstruct, synthesize_data, uniqueness_probe)
 

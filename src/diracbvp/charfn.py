@@ -64,16 +64,12 @@ def delta(config: ProblemConfig, lam) -> CharEval:
 
 def delta_dot(config: ProblemConfig, lam) -> complex:
     """d Delta / d lambda via Richardson-extrapolated central differences."""
-    lam = complex(lam)
-    h = 1e-6 * (1.0 + abs(lam))
-    vals = delta_many(config, [lam + h, lam - h, lam + h / 2, lam - h / 2])
-    d1 = (vals[0] - vals[1]) / (2.0 * h)
-    d2 = (vals[2] - vals[3]) / h
-    return complex((4.0 * d2 - d1) / 3.0)
+    return complex(delta_dot_many(config, [lam])[0])
 
 
 def delta_dot_many(config: ProblemConfig, lams) -> np.ndarray:
-    """Batched counterpart of :func:`delta_dot`."""
+    """Batched d Delta / d lambda: one propagation of the four-point
+    Richardson stencil lambda +- h, lambda +- h/2 with h = 1e-6 (1 + |lambda|)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     hs = 1e-6 * (1.0 + np.abs(lams))
     pts = np.concatenate([lams + hs, lams - hs, lams + hs / 2, lams - hs / 2])

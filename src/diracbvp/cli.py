@@ -105,10 +105,8 @@ def cmd_eigs(args) -> int:
 def _weyl_rows(config, lams, data):
     lams = np.asarray(lams, dtype=complex)
     _, psis, _ = integrator.psi_many(config, lams)
-    b = config.boundary
-    for i, lam in enumerate(lams):
-        dval = charfn.u1_form(config, lam, psis[i, 0, 0], psis[i, 0, 1])
-        m = -(b.b4 * psis[i, 0, 0] + b.b3 * psis[i, 0, 1]) / (b.k1 * dval)
+    ms, _ = weyl._direct_from_psi0(config, lams, psis[:, 0])
+    for lam, m in zip(lams, ms):
         m_series = weyl.weyl_series(config, lam, data)
         defect = abs(m - m_series)
         yield [_fmt(lam.real), _fmt(lam.imag), _fmt(m.real), _fmt(m.imag),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import MissingRootError, NonProportionalError, RootRefinementError
 from .model import PI, ProblemConfig, config_fingerprint, mu
@@ -230,32 +229,15 @@ def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
 # Per-root quantities
 # ---------------------------------------------------------------------------
 
-def _alphas(config: ProblemConfig, xs, phis, ia) -> np.ndarray:
-    """Squared weighted norms of the real left-normalized solutions ``phis``."""
-    b = config.boundary
-    f1 = phis[:, :, 0]
-    f2 = phis[:, :, 1]
-    s = f1 ** 2 + f2 ** 2
-    left = simpson(s[:, : ia + 1], x=xs[: ia + 1], axis=1)
-    right = config.weight.alpha * simpson(s[:, ia:], x=xs[ia:], axis=1)
-    y3 = b.b3 * f2[:, 0] + b.b4 * f1[:, 0]
-    y4 = b.c3 * f2[:, -1] + b.c4 * f1[:, -1]
-    return left + right + y3 ** 2 / b.k1 + y4 ** 2 / b.k2
-
-
-def _alphas_batch(config: ProblemConfig, roots) -> np.ndarray:
-    xs, phis, ia = integrator.phi_many(config, np.asarray(roots, float))
-    return _alphas(config, xs, phis.real, ia)
-
-
 def _per_root(config: ProblemConfig, roots):
     """alpha_n, beta_n and the proportionality residual of psi against phi.
 
-    One phi and one psi propagation serve all three; beta is the global
-    least-squares ratio psi/phi over all samples and components.
+    One phi and one psi propagation serve all three; alpha_n = ||phi_n||^2 and
+    beta is the global least-squares ratio psi/phi over all samples and
+    components.
     """
     roots = np.asarray(roots, float)
-    xs, phis, ia = integrator.phi_many(config, roots)
+    xs, phis, _ = integrator.phi_many(config, roots)
     _, psis, _ = integrator.psi_many(config, roots)
     phis = phis.real
     psis = psis.real
@@ -264,7 +246,7 @@ def _per_root(config: ProblemConfig, roots):
     betas = num / den
     resid = (np.linalg.norm(psis - betas[:, None, None] * phis, axis=(1, 2))
              / np.linalg.norm(psis, axis=(1, 2)))
-    return _alphas(config, xs, phis, ia), betas, resid
+    return expansion._squared_norms(config, xs, phis), betas, resid
 
 
 def _checked_per_root(config: ProblemConfig, lambda_n: float):
@@ -289,11 +271,8 @@ def orthogonality_check(config: ProblemConfig, data: SpectralDataSet) -> float:
     """Max normalized off-diagonal Gram entry of the eigen-elements."""
     if len(data) < 2:
         return 0.0
-    elements = expansion.eigen_elements(config, [d.lambda_n for d in data])
+    E = expansion.eigen_elements(config, [d.lambda_n for d in data])
     alphas = data.alphas()
-    worst = 0.0
-    for i in range(len(data)):
-        for j in range(i + 1, len(data)):
-            val = abs(expansion.inner(config, elements[i], elements[j]))
-            worst = max(worst, val / np.sqrt(alphas[i] * alphas[j]))
-    return float(worst)
+    G = np.abs(expansion.gram(config, E, E)) / np.sqrt(np.outer(alphas, alphas))
+    np.fill_diagonal(G, 0.0)
+    return float(np.max(G))

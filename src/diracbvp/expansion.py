@@ -2,7 +2,8 @@
 
 Elements of the underlying Hilbert space pair a two-component function on
 [0, pi] with two boundary scalars; the inner product weights the integral by
-rho and the scalars by 1/k1 and 1/k2.
+rho and the scalars by 1/k1 and 1/k2.  :func:`gram` is its one implementation:
+norming constants, coefficients and orthogonality are all read off it.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson
 
 from .errors import GridMismatchError, PoleError
 from .model import ProblemConfig
@@ -19,7 +20,8 @@ from . import charfn, integrator
 
 @dataclass(frozen=True)
 class HElement:
-    """Function pair sampled on the configuration grid plus boundary scalars."""
+    """Function pair sampled on an integration grid plus boundary scalars;
+    a stack of K elements holds (K, N+1) arrays and (K,) scalars."""
 
     xs: np.ndarray
     f1: np.ndarray
@@ -28,17 +30,46 @@ class HElement:
     f4: complex
 
 
-def _config_grid(config: ProblemConfig):
-    grid = integrator.build_grid(config, 1)
-    return grid.xs, grid.ia
-
-
-def _check_grid(config: ProblemConfig, *elements: HElement):
-    xs, ia = _config_grid(config)
+def _check_grid(config: ProblemConfig, *elements: HElement, refine: int = 1):
+    grid = integrator.build_grid(config, refine)
     for el in elements:
-        if len(el.xs) != len(xs) or not np.allclose(el.xs, xs):
+        if len(el.xs) != len(grid.xs) or not np.allclose(el.xs, grid.xs):
             raise GridMismatchError("element grid does not match the config grid")
-    return xs, ia
+    return grid
+
+
+def _boundary_scalars(config: ProblemConfig, f1, f2):
+    """(b3 f2(0) + b4 f1(0), c3 f2(pi) + c4 f1(pi)) of single or stacked samples."""
+    b = config.boundary
+    return (b.b3 * f2[..., 0] + b.b4 * f1[..., 0],
+            b.c3 * f2[..., -1] + b.c4 * f1[..., -1])
+
+
+def gram(config: ProblemConfig, Y: HElement, Z: HElement) -> np.ndarray:
+    """Matrix of inner products <Y_i, Z_j> of single or stacked elements.
+
+    Y and Z share the config grid or a refinement of it, whose steps are a
+    multiple of the config grid's.  One weighted matmul,
+    (Y1 w) Z1^H + (Y2 w) Z2^H + Y3 Z3^H / k1 + Y4 Z4^H / k2, where w holds the
+    rho-weighted composite Simpson weights of each side of the jump node.
+    """
+    refine = max(1, (len(Y.xs) - 1) // (len(integrator.build_grid(config, 1).xs) - 1))
+    grid = _check_grid(config, Y, Z, refine=refine)
+    w = np.zeros(len(grid.xs))
+    for side, start in ((grid.left, 0), (grid.right, grid.ia)):
+        c = np.ones(side.n + 1)       # side.n is even: 1, 4, 2, 4, ..., 2, 4, 1
+        c[1:-1:2], c[2:-1:2] = 4.0, 2.0
+        w[start: start + side.n + 1] += (side.rho * side.h / 3.0) * c
+    b = config.boundary
+    y1, y2, z1, z2 = (np.atleast_2d(v) for v in (Y.f1, Y.f2, Z.f1, Z.f2))
+    y3, y4, z3, z4 = (np.atleast_1d(v) for v in (Y.f3, Y.f4, Z.f3, Z.f4))
+    return ((y1 * w) @ z1.conj().T + (y2 * w) @ z2.conj().T
+            + np.outer(y3, z3.conj()) / b.k1 + np.outer(y4, z4.conj()) / b.k2)
+
+
+def inner(config: ProblemConfig, Y: HElement, Z: HElement) -> complex:
+    """Weighted integral of the function pair plus the two boundary products."""
+    return complex(gram(config, Y, Z)[0, 0])
 
 
 def element_from_functions(config: ProblemConfig, f1: Callable, f2: Callable,
@@ -46,60 +77,57 @@ def element_from_functions(config: ProblemConfig, f1: Callable, f2: Callable,
                            f4: Optional[complex] = None) -> HElement:
     """Sample (f1, f2) on the grid; unspecified boundary scalars default to
     the operator-domain-compatible values built from the boundary coefficients."""
-    xs, _ = _config_grid(config)
+    xs = integrator.build_grid(config, 1).xs
     v1 = np.asarray(f1(xs), dtype=complex) * np.ones_like(xs)
     v2 = np.asarray(f2(xs), dtype=complex) * np.ones_like(xs)
-    b = config.boundary
-    if f3 is None:
-        f3 = b.b3 * v2[0] + b.b4 * v1[0]
-    if f4 is None:
-        f4 = b.c3 * v2[-1] + b.c4 * v1[-1]
-    return HElement(xs=xs, f1=v1, f2=v2, f3=complex(f3), f4=complex(f4))
+    d3, d4 = _boundary_scalars(config, v1, v2)
+    return HElement(xs=xs, f1=v1, f2=v2,
+                    f3=complex(d3 if f3 is None else f3),
+                    f4=complex(d4 if f4 is None else f4))
+
+
+def _solution_elements(config: ProblemConfig, xs, ys) -> HElement:
+    """Stacked elements carried by real solutions ``ys`` (K, N+1, 2) on ``xs``."""
+    f1 = ys[..., 0].real.copy()
+    f2 = ys[..., 1].real.copy()
+    return HElement(xs, f1, f2, *_boundary_scalars(config, f1, f2))
+
+
+def _squared_norms(config: ProblemConfig, xs, ys) -> np.ndarray:
+    """||.||^2 of the elements carried by real solutions ``ys`` (K, N+1, 2) on
+    their own propagation grid ``xs``: the real diagonal of their Gram."""
+    E = _solution_elements(config, xs, ys)
+    return np.real(np.diagonal(gram(config, E, E)))
+
+
+def eigen_elements(config: ProblemConfig, lambdas) -> HElement:
+    """Stacked eigen-elements of the left-normalized solutions at ``lambdas``
+    from one propagation, sampled on the config grid: refined propagation
+    grids nest, so that is every refine-th node."""
+    xs, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
+    grid_xs = integrator.build_grid(config, 1).xs
+    refine = (len(xs) - 1) // (len(grid_xs) - 1)
+    return _solution_elements(config, grid_xs, ys[:, ::refine])
 
 
 def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:
     """The space element carried by the left-normalized solution at lambda_n."""
-    traj = integrator.phi(config, lambda_n)
-    return _element_from_phi(config, traj.xs, traj.ys)
+    E = eigen_elements(config, [lambda_n])
+    return HElement(E.xs, E.f1[0], E.f2[0], E.f3[0], E.f4[0])
 
 
-def _element_from_phi(config: ProblemConfig, xs, ys) -> HElement:
-    b = config.boundary
-    f1 = ys[:, 0].real.copy()
-    f2 = ys[:, 1].real.copy()
-    return HElement(xs=xs, f1=f1, f2=f2,
-                    f3=b.b3 * f2[0] + b.b4 * f1[0],
-                    f4=b.c3 * f2[-1] + b.c4 * f1[-1])
-
-
-def eigen_elements(config: ProblemConfig, lambdas) -> list:
-    """Batched :func:`eigen_element` (one propagation for all lambdas)."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    xs, ys, _ = integrator.phi_many(config, lambdas)
-    return [_element_from_phi(config, xs, ys[i]) for i in range(len(lambdas))]
-
-
-def inner(config: ProblemConfig, Y: HElement, Z: HElement) -> complex:
-    """Weighted integral of the function pair plus the two boundary products."""
-    _, ia = _check_grid(config, Y, Z)
-    b = config.boundary
-    integrand = Y.f1 * np.conj(Z.f1) + Y.f2 * np.conj(Z.f2)
-    left = simpson(integrand[:ia + 1], x=Y.xs[:ia + 1])
-    right = config.weight.alpha * simpson(integrand[ia:], x=Y.xs[ia:])
-    return complex(left + right
-                   + Y.f3 * np.conj(Z.f3) / b.k1
-                   + Y.f4 * np.conj(Z.f4) / b.k2)
+def _coefficients(config: ProblemConfig, data, f: HElement):
+    """Expansion coefficients of f and the stacked eigen-elements they use."""
+    if len(data) == 0:
+        raise ValueError("empty spectral data set")
+    E = eigen_elements(config, [d.lambda_n for d in data])
+    alphas = np.array([d.alpha_n for d in data])
+    return np.asarray(gram(config, f, E)[0] / alphas, dtype=complex), E
 
 
 def coefficients(config: ProblemConfig, data, f: HElement) -> np.ndarray:
-    """Expansion coefficients of f against the eigen-elements of ``data``,
-    by the full inner product (integral plus boundary scalars)."""
-    if len(data) == 0:
-        raise ValueError("empty spectral data set")
-    _check_grid(config, f)
-    elements = eigen_elements(config, [d.lambda_n for d in data])
-    return np.array([inner(config, f, el) / datum.alpha_n
-                     for datum, el in zip(data, elements)], dtype=complex)
+    """Coefficients <f, phi_n> / alpha_n: one Gram row over the data's alpha."""
+    return _coefficients(config, data, f)[0]
 
 
 def parseval_defect(config: ProblemConfig, data, f: HElement) -> float:
@@ -114,19 +142,9 @@ def parseval_defect(config: ProblemConfig, data, f: HElement) -> float:
 
 def expand(config: ProblemConfig, data, f: HElement) -> HElement:
     """Partial eigenfunction expansion of f over the supplied data."""
-    coeffs = coefficients(config, data, f)
-    elements = eigen_elements(config, [d.lambda_n for d in data])
-    xs = elements[0].xs
-    s1 = np.zeros_like(xs, dtype=complex)
-    s2 = np.zeros_like(xs, dtype=complex)
-    s3 = 0.0 + 0.0j
-    s4 = 0.0 + 0.0j
-    for a, el in zip(coeffs, elements):
-        s1 += a * el.f1
-        s2 += a * el.f2
-        s3 += a * el.f3
-        s4 += a * el.f4
-    return HElement(xs=xs, f1=s1, f2=s2, f3=s3, f4=s4)
+    c, E = _coefficients(config, data, f)
+    return HElement(xs=E.xs, f1=c @ E.f1, f2=c @ E.f2,
+                    f3=complex(c @ E.f3), f4=complex(c @ E.f4))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +159,7 @@ def _cumulative_complex(values, xs):
 
 def _cumulative(config: ProblemConfig, values: np.ndarray, ia: int) -> np.ndarray:
     """Cumulative rho-weighted integral from 0, split at the jump node."""
-    xs, _ = _config_grid(config)
+    xs = integrator.build_grid(config, 1).xs
     alpha = config.weight.alpha
     values = np.asarray(values, dtype=complex)
     left = _cumulative_complex(values[:ia + 1], xs[:ia + 1])
@@ -152,7 +170,7 @@ def _cumulative(config: ProblemConfig, values: np.ndarray, ia: int) -> np.ndarra
 def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Trajectory:
     """Apply the resolvent kernel plus boundary-data terms to f at lambda."""
     lam = complex(lam)
-    _, ia = _check_grid(config, f)
+    ia = _check_grid(config, f).ia
     phi_t = integrator.phi(config, lam)
     psi_t = integrator.psi(config, lam)
     dval = charfn.u1_form(config, lam, psi_t.ys[0, 0], psi_t.ys[0, 1])
@@ -181,7 +199,7 @@ def resolvent_residual(config: ProblemConfig, lam, f: HElement,
     does not pollute the check.
     """
     lam = complex(lam)
-    _, ia = _check_grid(config, f)
+    ia = _check_grid(config, f).ia
     pot = config.potential
     alpha = config.weight.alpha
     ode_max = 0.0

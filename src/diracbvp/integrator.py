@@ -90,13 +90,13 @@ def _make_side(config: ProblemConfig, x0: float, x1: float, n: int, rho: float) 
 
 @lru_cache(maxsize=64)
 def build_grid(config: ProblemConfig, refine: int = 1) -> _Grid:
-    """Integration grid with a node exactly at the jump; even steps per side."""
+    """Integration grid with a node exactly at the jump; even steps per side.
+    Refining multiplies each side's steps, so refined grids nest."""
     w = config.weight
-    n_total = config.grid_points * refine
-    nl = max(64, int(round(n_total * w.a / PI)))
-    nr = max(64, n_total - nl)
-    nl += nl % 2
-    nr += nr % 2
+    nl = max(64, int(round(config.grid_points * w.a / PI)))
+    nr = max(64, config.grid_points - nl)
+    nl = refine * (nl + nl % 2)
+    nr = refine * (nr + nr % 2)
     left = _make_side(config, 0.0, w.a, nl, 1.0)
     right = _make_side(config, w.a, PI, nr, w.alpha)
     xs = np.concatenate([left.x_nodes, right.x_nodes[1:]])

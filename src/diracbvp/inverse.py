@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 
 from .errors import ConfigError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
-from . import charfn, eigensolver
+from . import charfn, eigensolver, expansion, integrator
 
 _PENALTY = 1e6
 
@@ -144,7 +144,8 @@ def misfit(problem: InverseProblem, params) -> float:
     ok = ~np.isnan(roots)
     J = float(np.sum(w[~ok]) * _PENALTY)
     if np.any(ok):
-        alphas = eigensolver._alphas_batch(config, roots[ok])
+        xs, phis, _ = integrator.phi_many(config, roots[ok])
+        alphas = expansion._squared_norms(config, xs, phis)
         lam_term = (roots[ok] - targets[ok]) ** 2
         alpha_term = (np.log(alphas) - np.log(alphas_star[ok])) ** 2
         J += float(np.sum(w[ok] * (lam_term + alpha_term)))

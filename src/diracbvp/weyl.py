@@ -28,13 +28,13 @@ class WeylSample:
     identity_defect: float
 
 
-def _direct_from_psi(config: ProblemConfig, lam, psi_ys):
+def _direct_from_psi0(config: ProblemConfig, lam, psi0):
+    """(M, Delta) from psi(0) of shape (..., 2); M = -(b4 psi1 + b3 psi2) / (k1 Delta)
+    is inf or nan at a pole, which callers guard."""
     b = config.boundary
-    numer = b.b4 * psi_ys[0, 0] + b.b3 * psi_ys[0, 1]
-    dval = charfn.u1_form(config, lam, psi_ys[0, 0], psi_ys[0, 1])
-    if abs(dval) <= _POLE_GUARD:
-        return complex("nan"), dval
-    return -numer / (b.k1 * dval), dval
+    dval = charfn.u1_form(config, lam, psi0[..., 0], psi0[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -(b.b4 * psi0[..., 0] + b.b3 * psi0[..., 1]) / (b.k1 * dval), dval
 
 
 def _nearest_root_estimate(config: ProblemConfig, lam, dval) -> complex:
@@ -52,7 +52,7 @@ def weyl_direct(config: ProblemConfig, lam) -> complex:
     """Boundary trace of the Weyl solution at lambda (off the spectrum)."""
     lam = complex(lam)
     psi_t = integrator.psi(config, lam)
-    m, dval = _direct_from_psi(config, lam, psi_t.ys)
+    m, dval = _direct_from_psi0(config, lam, psi_t.ys[0])
     if abs(dval) <= _POLE_GUARD:
         raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
     return complex(m)
@@ -82,7 +82,7 @@ def weyl_solution(config: ProblemConfig, lam):
     """
     lam = complex(lam)
     psi_t = integrator.psi(config, lam)
-    m, dval = _direct_from_psi(config, lam, psi_t.ys)
+    m, dval = _direct_from_psi0(config, lam, psi_t.ys[0])
     if abs(dval) <= _POLE_GUARD:
         raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
     phi_w = psi_t.ys / dval
