@@ -181,7 +181,7 @@ def cmd_resolvent(args) -> int:
         print(f"resolvent: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     ode_res, bc_res = expansion.resolvent_residual(config, lam, f, traj)
-    integrator.write_trajectory_csv(traj, out / "resolvent.csv")
+    traj.to_csv(out / "resolvent.csv")
     _write_json(out / "resolvent_summary.json",
                 {"lambda": [lam.real, lam.imag],
                  "ode_residual": ode_res, "bc_residual": bc_res})

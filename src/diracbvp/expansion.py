@@ -100,14 +100,19 @@ def _squared_norms(config: ProblemConfig, xs, ys) -> np.ndarray:
     return np.real(np.diagonal(gram(config, E, E)))
 
 
+def _config_nodes(config: ProblemConfig, ys: np.ndarray) -> np.ndarray:
+    """Solution samples ``ys`` (..., M+1, 2) of one propagation at the config
+    grid's nodes: refined propagation grids nest, so every refine-th node."""
+    n = len(integrator.build_grid(config, 1).xs) - 1
+    return ys[..., ::(ys.shape[-2] - 1) // n, :]
+
+
 def eigen_elements(config: ProblemConfig, lambdas) -> HElement:
     """Stacked eigen-elements of the left-normalized solutions at ``lambdas``
-    from one propagation, sampled on the config grid: refined propagation
-    grids nest, so that is every refine-th node."""
-    xs, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
-    grid_xs = integrator.build_grid(config, 1).xs
-    refine = (len(xs) - 1) // (len(grid_xs) - 1)
-    return _solution_elements(config, grid_xs, ys[:, ::refine])
+    from one propagation, sampled on the config grid."""
+    _, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
+    return _solution_elements(config, integrator.build_grid(config, 1).xs,
+                              _config_nodes(config, ys))
 
 
 def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:
@@ -170,25 +175,22 @@ def _cumulative(config: ProblemConfig, values: np.ndarray, ia: int) -> np.ndarra
 def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Trajectory:
     """Apply the resolvent kernel plus boundary-data terms to f at lambda."""
     lam = complex(lam)
-    ia = _check_grid(config, f).ia
-    phi_t = integrator.phi(config, lam)
-    psi_t = integrator.psi(config, lam)
-    dval = charfn.u1_form(config, lam, psi_t.ys[0, 0], psi_t.ys[0, 1])
+    grid = _check_grid(config, f)
+    phi_ys = _config_nodes(config, integrator.phi(config, lam).ys)
+    psi_ys = _config_nodes(config, integrator.psi(config, lam).ys)
+    dval = charfn.u1_form(config, lam, psi_ys[0, 0], psi_ys[0, 1])
     if abs(dval) <= 1e-8:
         raise PoleError(lam)
 
-    g_phi = phi_t.ys[:, 0] * f.f1 + phi_t.ys[:, 1] * f.f2
-    g_psi = psi_t.ys[:, 0] * f.f1 + psi_t.ys[:, 1] * f.f2
-    int_phi = _cumulative(config, g_phi, ia)            # integral from 0 to x
-    cum_psi = _cumulative(config, g_psi, ia)
+    g_phi = phi_ys[:, 0] * f.f1 + phi_ys[:, 1] * f.f2
+    g_psi = psi_ys[:, 0] * f.f1 + psi_ys[:, 1] * f.f2
+    int_phi = _cumulative(config, g_phi, grid.ia)       # integral from 0 to x
+    cum_psi = _cumulative(config, g_psi, grid.ia)
     int_psi = cum_psi[-1] - cum_psi                     # integral from x to pi
 
-    ys = np.empty_like(phi_t.ys)
-    kernel1 = -(psi_t.ys[:, 0] * int_phi + phi_t.ys[:, 0] * int_psi) / dval
-    kernel2 = -(psi_t.ys[:, 1] * int_phi + phi_t.ys[:, 1] * int_psi) / dval
-    ys[:, 0] = kernel1 + (f.f4 / dval) * phi_t.ys[:, 0] + (f.f3 / dval) * psi_t.ys[:, 0]
-    ys[:, 1] = kernel2 + (f.f4 / dval) * phi_t.ys[:, 1] + (f.f3 / dval) * psi_t.ys[:, 1]
-    return integrator.Trajectory(lam=lam, xs=phi_t.xs, ys=ys, index_a=ia)
+    kernel = -(psi_ys * int_phi[:, None] + phi_ys * int_psi[:, None]) / dval
+    ys = kernel + (f.f4 / dval) * phi_ys + (f.f3 / dval) * psi_ys
+    return integrator.Trajectory(lam=lam, xs=grid.xs, ys=ys, index_a=grid.ia)
 
 
 def resolvent_residual(config: ProblemConfig, lam, f: HElement,

@@ -1,9 +1,11 @@
 """Fixed-step RK4 propagation of the two-component system across [0, pi].
 
 The integration grid is split at the weight jump so every subinterval has
-smooth coefficients; the state itself is continuous across the jump.  All
-propagation is vectorized over a batch of lambda values: the scalar entry
-points simply run a batch of one.
+smooth coefficients; the state itself is continuous across the jump.  A
+batch of lambda values is swept forward, side by side, into one (batch, N+1, 2)
+result allocated once; a leftward propagation is the same sweep over reversed
+samples with the step negated, into a reversed view of the result.  The
+scalar entry points run a batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
@@ -38,17 +40,13 @@ class Trajectory:
         return self.ys[i]
 
     def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "re_y1", "im_y1", "re_y2", "im_y2"])
-        for x, (y1, y2) in zip(traj.xs, traj.ys):
-            writer.writerow([repr(float(x)),
-                             repr(float(y1.real)), repr(float(y1.imag)),
-                             repr(float(y2.real)), repr(float(y2.imag))])
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["x", "re_y1", "im_y1", "re_y2", "im_y2"])
+            for x, (y1, y2) in zip(self.xs, self.ys):
+                writer.writerow([repr(float(x)),
+                                 repr(float(y1.real)), repr(float(y1.imag)),
+                                 repr(float(y2.real)), repr(float(y2.imag))])
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +63,12 @@ class _Side:
     q_nodes: np.ndarray
     p_mid: np.ndarray
     q_mid: np.ndarray
+
+    def reversed(self) -> "_Side":
+        """The side seen from its right end: negated step, reversed samples."""
+        return _Side(n=self.n, h=-self.h, rho=self.rho, x_nodes=self.x_nodes[::-1],
+                     p_nodes=self.p_nodes[::-1], q_nodes=self.q_nodes[::-1],
+                     p_mid=self.p_mid[::-1], q_mid=self.q_mid[::-1])
 
 
 @dataclass
@@ -113,28 +117,15 @@ def _refine_factor(config: ProblemConfig, lam_scale: float) -> int:
 # RK4 sweeps
 # ---------------------------------------------------------------------------
 
-def _rk4_side(side: _Side, lam_rho: np.ndarray, y1, y2, forward: bool):
-    """March one smooth subinterval; returns states at all nodes, spatial order."""
-    n = side.n
-    B = lam_rho.shape[0]
-    out1 = np.empty((B, n + 1), dtype=complex)
-    out2 = np.empty((B, n + 1), dtype=complex)
+def _rk4_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
+    """March one smooth side from the states in ``out[:, 0]`` and write the
+    state at every further node into ``out`` (batch, side.n + 1, 2)."""
+    h = side.h
     pn, qn = side.p_nodes, side.q_nodes
     pm, qm = side.p_mid, side.q_mid
-    if forward:
-        h = side.h
-        steps = range(n)
-        out1[:, 0], out2[:, 0] = y1, y2
-    else:
-        h = -side.h
-        steps = range(n - 1, -1, -1)
-        out1[:, n], out2[:, n] = y1, y2
-
-    for j in steps:
-        if forward:
-            p0, q0, p1, q1 = pn[j], qn[j], pn[j + 1], qn[j + 1]
-        else:
-            p0, q0, p1, q1 = pn[j + 1], qn[j + 1], pn[j], qn[j]
+    y1, y2 = out[:, 0, 0], out[:, 0, 1]
+    for j in range(side.n):
+        p0, q0, p1, q1 = pn[j], qn[j], pn[j + 1], qn[j + 1]
         pmj, qmj = pm[j], qm[j]
 
         k11 = q0 * y1 - (p0 + lam_rho) * y2
@@ -154,10 +145,8 @@ def _rk4_side(side: _Side, lam_rho: np.ndarray, y1, y2, forward: bool):
 
         y1 = y1 + (h / 6.0) * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
         y2 = y2 + (h / 6.0) * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
-        idx = j + 1 if forward else j
-        out1[:, idx] = y1
-        out2[:, idx] = y2
-    return out1, out2
+        out[:, j + 1, 0] = y1
+        out[:, j + 1, 1] = y2
 
 
 def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
@@ -168,25 +157,22 @@ def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
     Returns ``(xs, ys, ia)`` with ``ys`` of shape (batch, N+1, 2).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    inits = np.atleast_2d(np.asarray(inits, dtype=complex))
     if endpoint not in ("left", "right"):
         raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
     refine = _refine_factor(config, float(np.max(np.abs(lams))) if lams.size else 0.0)
     grid = build_grid(config, refine)
 
-    y1, y2 = inits[:, 0], inits[:, 1]
+    ys = np.empty((len(lams), len(grid.xs), 2), dtype=complex)
+    if endpoint == "left":
+        view, first, second = ys, grid.left, grid.right
+    else:
+        # leftward is the same sweep over reversed samples into a reversed view
+        view, first, second = ys[:, ::-1], grid.right.reversed(), grid.left.reversed()
+    view[:, 0] = inits
     # non-finite states are detected and reported below; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        if endpoint == "left":
-            l1, l2 = _rk4_side(grid.left, lams * grid.left.rho, y1, y2, forward=True)
-            r1, r2 = _rk4_side(grid.right, lams * grid.right.rho,
-                               l1[:, -1], l2[:, -1], forward=True)
-        else:
-            r1, r2 = _rk4_side(grid.right, lams * grid.right.rho, y1, y2, forward=False)
-            l1, l2 = _rk4_side(grid.left, lams * grid.left.rho,
-                               r1[:, 0], r2[:, 0], forward=False)
-    ys = np.stack([np.concatenate([l1, r1[:, 1:]], axis=1),
-                   np.concatenate([l2, r2[:, 1:]], axis=1)], axis=2)
+        _rk4_side(first, lams * first.rho, view[:, :first.n + 1])
+        _rk4_side(second, lams * second.rho, view[:, first.n:])
 
     if not np.all(np.isfinite(ys)):
         bad = np.where(~np.isfinite(ys).all(axis=(1, 2)))[0][0]
@@ -238,15 +224,12 @@ def c_many(config: ProblemConfig, lams):
 
 
 def phi(config: ProblemConfig, lam) -> Trajectory:
-    xs, ys, ia = phi_many(config, [lam])
-    return Trajectory(lam=complex(lam), xs=xs, ys=ys[0], index_a=ia)
+    return propagate(config, lam, phi_init(config, lam)[0], "left")
 
 
 def psi(config: ProblemConfig, lam) -> Trajectory:
-    xs, ys, ia = psi_many(config, [lam])
-    return Trajectory(lam=complex(lam), xs=xs, ys=ys[0], index_a=ia)
+    return propagate(config, lam, psi_init(config, lam)[0], "right")
 
 
 def solution_c(config: ProblemConfig, lam) -> Trajectory:
-    xs, ys, ia = c_many(config, [lam])
-    return Trajectory(lam=complex(lam), xs=xs, ys=ys[0], index_a=ia)
+    return propagate(config, lam, c_init(config, lam)[0], "left")

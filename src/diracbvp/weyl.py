@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DiracBVPError, PoleError
 from .model import ProblemConfig
 from . import charfn, integrator
 
@@ -43,19 +43,31 @@ def _nearest_root_estimate(config: ProblemConfig, lam, dval) -> complex:
         ddot = charfn.delta_dot(config, lam)
         if ddot != 0:
             return complex(lam - dval / ddot)
-    except Exception:
+    except DiracBVPError:
         pass
     return complex(lam)
 
 
+def _direct_many(config: ProblemConfig, lams):
+    """(M, Delta) lists at ``lams`` and their psi batch from one propagation;
+    raises PoleError at the first lambda within the pole guard."""
+    lams = [complex(lam) for lam in np.atleast_1d(lams)]
+    _, psis, _ = integrator.psi_many(config, lams)
+    ms, dvals = [], []
+    # one lambda at a time: numpy's scalar and vector complex products round
+    # differently, and M near a pole magnifies the difference
+    for lam, psi in zip(lams, psis):
+        m, dval = _direct_from_psi0(config, lam, psi[0])
+        if abs(dval) <= _POLE_GUARD:
+            raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
+        ms.append(complex(m))
+        dvals.append(complex(dval))
+    return ms, dvals, psis
+
+
 def weyl_direct(config: ProblemConfig, lam) -> complex:
     """Boundary trace of the Weyl solution at lambda (off the spectrum)."""
-    lam = complex(lam)
-    psi_t = integrator.psi(config, lam)
-    m, dval = _direct_from_psi0(config, lam, psi_t.ys[0])
-    if abs(dval) <= _POLE_GUARD:
-        raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
-    return complex(m)
+    return _direct_many(config, lam)[0][0]
 
 
 def weyl_series(config: ProblemConfig, lam, data) -> complex:
@@ -73,6 +85,20 @@ def weyl_series(config: ProblemConfig, lam, data) -> complex:
     return complex(np.sum(1.0 / (alphas[order] * gaps[order])))
 
 
+def _weyl_solution(config: ProblemConfig, lam):
+    """(trajectory, identity defect, M) from one psi propagation and one
+    left batch of phi and C."""
+    lam = complex(lam)
+    ms, dvals, psis = _direct_many(config, lam)
+    m, phi_w = ms[0], psis[0] / dvals[0]
+    xs, ys, ia = integrator.propagate_many(
+        config, [lam, lam],
+        np.vstack([integrator.phi_init(config, lam), integrator.c_init(config, lam)]),
+        "left")
+    defect = float(np.max(np.abs(phi_w - (ys[1] + m * ys[0]))))
+    return integrator.Trajectory(lam=lam, xs=xs, ys=phi_w, index_a=ia), defect, m
+
+
 def weyl_solution(config: ProblemConfig, lam):
     """Weyl solution trajectory and the defect of its two representations.
 
@@ -80,27 +106,13 @@ def weyl_solution(config: ProblemConfig, lam):
     max-norm over the grid of the difference between psi/Delta and
     C + M*phi, both computed independently.
     """
-    lam = complex(lam)
-    psi_t = integrator.psi(config, lam)
-    m, dval = _direct_from_psi0(config, lam, psi_t.ys[0])
-    if abs(dval) <= _POLE_GUARD:
-        raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
-    phi_w = psi_t.ys / dval
-
-    phi_t = integrator.phi(config, lam)
-    c_t = integrator.solution_c(config, lam)
-    alt = c_t.ys + m * phi_t.ys
-    defect = float(np.max(np.abs(phi_w - alt)))
-    traj = integrator.Trajectory(lam=lam, xs=psi_t.xs, ys=phi_w,
-                                 index_a=psi_t.index_a)
-    return traj, defect
+    return _weyl_solution(config, lam)[:2]
 
 
 def weyl_sample(config: ProblemConfig, lam, data=None) -> WeylSample:
     """Full evaluation record; the series column is NaN without data."""
     lam = complex(lam)
-    traj, defect = weyl_solution(config, lam)
-    m_direct = weyl_direct(config, lam)
+    _, defect, m_direct = _weyl_solution(config, lam)
     if data is not None and len(data):
         m_series = weyl_series(config, lam, data)
         terms = len(data)
@@ -112,11 +124,12 @@ def weyl_sample(config: ProblemConfig, lam, data=None) -> WeylSample:
 
 
 def residue_check(config: ProblemConfig, datum) -> float:
-    """Relative defect of the numerical residue at an eigenvalue vs 1/alpha_n."""
+    """Relative defect of the numerical residue at an eigenvalue vs 1/alpha_n,
+    from one psi batch of four points on a small circle around it."""
     lam_n = datum.lambda_n
     radius = 1e-3
     points = lam_n + radius * np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]) * np.pi)
-    vals = [complex((p - lam_n) * weyl_direct(config, p)) for p in points]
-    estimate = np.mean(vals)
+    ms = _direct_many(config, points)[0]
+    estimate = np.mean([(p - lam_n) * m for p, m in zip(points, ms)])
     target = 1.0 / datum.alpha_n
     return float(abs(estimate - target) / abs(target))
