@@ -104,8 +104,7 @@ def cmd_eigs(args) -> int:
 
 def _weyl_rows(config, lams, data):
     lams = np.asarray(lams, dtype=complex)
-    _, psis, _ = integrator.psi_many(config, lams)
-    ms, _ = weyl._direct_from_psi0(config, lams, psis[:, 0])
+    ms = weyl._direct_many(config, lams)[0]
     for lam, m in zip(lams, ms):
         m_series = weyl.weyl_series(config, lam, data)
         defect = abs(m - m_series)

@@ -120,7 +120,8 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
 
     ``flo`` and ``fhi`` are Delta at the bracket ends and must not share a
     sign.  Every sweep evaluates the whole batch, converged entries at their
-    roots, so the batch's max|lambda| (and with it the grid) stays put.
+    roots; Delta at a point does not depend on its batch, so this only keeps
+    the loop free of index bookkeeping.
     """
     # b is the latest iterate and a the retained end; fa and fb never share
     # a sign, so [a, b] always brackets the root

@@ -30,8 +30,8 @@ class HElement:
     f4: complex
 
 
-def _check_grid(config: ProblemConfig, *elements: HElement, refine: int = 1):
-    grid = integrator.build_grid(config, refine)
+def _check_grid(config: ProblemConfig, *elements: HElement):
+    grid = integrator.build_grid(config)
     for el in elements:
         if len(el.xs) != len(grid.xs) or not np.allclose(el.xs, grid.xs):
             raise GridMismatchError("element grid does not match the config grid")
@@ -48,18 +48,20 @@ def _boundary_scalars(config: ProblemConfig, f1, f2):
 def gram(config: ProblemConfig, Y: HElement, Z: HElement) -> np.ndarray:
     """Matrix of inner products <Y_i, Z_j> of single or stacked elements.
 
-    Y and Z share the config grid or a refinement of it, whose steps are a
-    multiple of the config grid's.  One weighted matmul,
+    Y and Z live on the config grid.  One weighted matmul,
     (Y1 w) Z1^H + (Y2 w) Z2^H + Y3 Z3^H / k1 + Y4 Z4^H / k2, where w holds the
-    rho-weighted composite Simpson weights of each side of the jump node.
+    rho-weighted Simpson weights, (x[2k+2] - x[2k]) rho / 6 * (1, 4, 1) for
+    each pair of steps; a pair never straddles a cut, so its steps are equal.
     """
-    refine = max(1, (len(Y.xs) - 1) // (len(integrator.build_grid(config, 1).xs) - 1))
-    grid = _check_grid(config, Y, Z, refine=refine)
+    grid = _check_grid(config, Y, Z)
     w = np.zeros(len(grid.xs))
     for side, start in ((grid.left, 0), (grid.right, grid.ia)):
-        c = np.ones(side.n + 1)       # side.n is even: 1, 4, 2, 4, ..., 2, 4, 1
-        c[1:-1:2], c[2:-1:2] = 4.0, 2.0
-        w[start: start + side.n + 1] += (side.rho * side.h / 3.0) * c
+        x = side.x_nodes
+        span = side.rho * (x[2::2] - x[:-2:2]) / 6.0
+        ws = w[start: start + side.n + 1]
+        ws[:-2:2] += span
+        ws[1::2] += 4.0 * span
+        ws[2::2] += span
     b = config.boundary
     y1, y2, z1, z2 = (np.atleast_2d(v) for v in (Y.f1, Y.f2, Z.f1, Z.f2))
     y3, y4, z3, z4 = (np.atleast_1d(v) for v in (Y.f3, Y.f4, Z.f3, Z.f4))
@@ -77,7 +79,7 @@ def element_from_functions(config: ProblemConfig, f1: Callable, f2: Callable,
                            f4: Optional[complex] = None) -> HElement:
     """Sample (f1, f2) on the grid; unspecified boundary scalars default to
     the operator-domain-compatible values built from the boundary coefficients."""
-    xs = integrator.build_grid(config, 1).xs
+    xs = integrator.build_grid(config).xs
     v1 = np.asarray(f1(xs), dtype=complex) * np.ones_like(xs)
     v2 = np.asarray(f2(xs), dtype=complex) * np.ones_like(xs)
     d3, d4 = _boundary_scalars(config, v1, v2)
@@ -95,24 +97,16 @@ def _solution_elements(config: ProblemConfig, xs, ys) -> HElement:
 
 def _squared_norms(config: ProblemConfig, xs, ys) -> np.ndarray:
     """||.||^2 of the elements carried by real solutions ``ys`` (K, N+1, 2) on
-    their own propagation grid ``xs``: the real diagonal of their Gram."""
+    the config grid ``xs``: the real diagonal of their Gram."""
     E = _solution_elements(config, xs, ys)
     return np.real(np.diagonal(gram(config, E, E)))
 
 
-def _config_nodes(config: ProblemConfig, ys: np.ndarray) -> np.ndarray:
-    """Solution samples ``ys`` (..., M+1, 2) of one propagation at the config
-    grid's nodes: refined propagation grids nest, so every refine-th node."""
-    n = len(integrator.build_grid(config, 1).xs) - 1
-    return ys[..., ::(ys.shape[-2] - 1) // n, :]
-
-
 def eigen_elements(config: ProblemConfig, lambdas) -> HElement:
     """Stacked eigen-elements of the left-normalized solutions at ``lambdas``
-    from one propagation, sampled on the config grid."""
-    _, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
-    return _solution_elements(config, integrator.build_grid(config, 1).xs,
-                              _config_nodes(config, ys))
+    from one propagation."""
+    xs, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
+    return _solution_elements(config, xs, ys)
 
 
 def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:
@@ -164,7 +158,7 @@ def _cumulative_complex(values, xs):
 
 def _cumulative(config: ProblemConfig, values: np.ndarray, ia: int) -> np.ndarray:
     """Cumulative rho-weighted integral from 0, split at the jump node."""
-    xs = integrator.build_grid(config, 1).xs
+    xs = integrator.build_grid(config).xs
     alpha = config.weight.alpha
     values = np.asarray(values, dtype=complex)
     left = _cumulative_complex(values[:ia + 1], xs[:ia + 1])
@@ -176,8 +170,8 @@ def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Traje
     """Apply the resolvent kernel plus boundary-data terms to f at lambda."""
     lam = complex(lam)
     grid = _check_grid(config, f)
-    phi_ys = _config_nodes(config, integrator.phi(config, lam).ys)
-    psi_ys = _config_nodes(config, integrator.psi(config, lam).ys)
+    phi_ys = integrator.phi(config, lam).ys
+    psi_ys = integrator.psi(config, lam).ys
     dval = charfn.u1_form(config, lam, psi_ys[0, 0], psi_ys[0, 1])
     if abs(dval) <= 1e-8:
         raise PoleError(lam)

@@ -1,17 +1,20 @@
-"""Fixed-step RK4 propagation of the two-component system across [0, pi].
+"""Fourth-order Magnus propagation of the two-component system across [0, pi].
 
-The integration grid is split at the weight jump so every subinterval has
-smooth coefficients; the state itself is continuous across the jump.  A
-batch of lambda values is swept forward, side by side, into one (batch, N+1, 2)
-result allocated once; a leftward propagation is the same sweep over reversed
-samples with the step negated, into a reversed view of the result.  The
-scalar entry points run a batch of one through :func:`propagate`.
+Each step advances the state by one 2x2 matrix exp(Omega), where Omega is the
+fourth-order Magnus term of Iserles and Norsett (1999) built from the
+coefficient matrix at the step's two Gauss points.  The step is exact wherever
+p, q and rho are constant over it, so the one grid of a problem places a node
+at the weight jump and at every breakpoint of a piecewise potential, and no
+lambda needs a finer grid.  A batch of lambda values is swept forward, side by
+side, into one (batch, N+1, 2) result allocated once; a leftward propagation
+is the same sweep over reversed, negated steps into a reversed view of the
+result.  The scalar entry points run a batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -19,10 +22,8 @@ import numpy as np
 from .errors import IntegrationOverflowError
 from .model import PI, ProblemConfig
 
-#: refine the grid whenever |lambda| * max step exceeds this phase budget;
-#: the per-step phase error scales like (|lambda| h)^5, so a modest budget
-#: keeps the accumulated error small even for thousands of steps
-_PHASE_LIMIT = 0.1
+#: offsets of the two Gauss points of a step, in units of its length
+_GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -55,20 +56,19 @@ class Trajectory:
 
 @dataclass
 class _Side:
+    """One smooth side of the jump: its nodes and, per step, the six
+    lambda-independent rows (a0, a1, b0, b1, c0, c1) of
+    Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho."""
+
     n: int
-    h: float
     rho: float
     x_nodes: np.ndarray
-    p_nodes: np.ndarray
-    q_nodes: np.ndarray
-    p_mid: np.ndarray
-    q_mid: np.ndarray
+    omega: np.ndarray        # (6, n)
 
     def reversed(self) -> "_Side":
-        """The side seen from its right end: negated step, reversed samples."""
-        return _Side(n=self.n, h=-self.h, rho=self.rho, x_nodes=self.x_nodes[::-1],
-                     p_nodes=self.p_nodes[::-1], q_nodes=self.q_nodes[::-1],
-                     p_mid=self.p_mid[::-1], q_mid=self.q_mid[::-1])
+        """The side seen from its right end: reversed steps, negated Omega."""
+        return _Side(n=self.n, rho=self.rho, x_nodes=self.x_nodes[::-1],
+                     omega=-self.omega[:, ::-1])
 
 
 @dataclass
@@ -77,76 +77,86 @@ class _Grid:
     ia: int
     left: _Side
     right: _Side
-    h_max: float
+
+
+def _cuts(config: ProblemConfig) -> list:
+    """Breakpoints k pi / m of a piecewise p or q, each rational k/m once."""
+    pot = config.potential
+    if pot.kind != "piecewise":
+        return []
+    fracs = {Fraction(k, m) for m in (len(pot.p_params), len(pot.q_params))
+             for k in range(1, m)}
+    return sorted(PI * f.numerator / f.denominator for f in fracs)
+
+
+def _side_nodes(x0: float, x1: float, n: int, cuts) -> np.ndarray:
+    """Nodes of [x0, x1]: every cut inside it is a node, and its pieces share
+    n steps (n even) in proportion to their lengths, an even count each."""
+    edges = [x0, *(c for c in cuts if x0 < c < x1), x1]
+    pieces = len(edges) - 1
+    pairs = max(n // 2, pieces)
+    ks = [0]
+    for i, e in enumerate(edges[1:-1], 1):
+        k = round(pairs * (e - x0) / (x1 - x0))
+        ks.append(min(max(k, ks[-1] + 1), pairs - (pieces - i)))
+    ks.append(pairs)
+    parts = [np.linspace(edges[i], edges[i + 1], 2 * (ks[i + 1] - ks[i]) + 1)[:-1]
+             for i in range(pieces)]
+    return np.concatenate(parts + [[x1]])
 
 
 def _make_side(config: ProblemConfig, x0: float, x1: float, n: int, rho: float) -> _Side:
-    xn = np.linspace(x0, x1, n + 1)
-    xm = 0.5 * (xn[:-1] + xn[1:])
+    xn = _side_nodes(x0, x1, n, _cuts(config))
+    h = np.diff(xn)
     pot = config.potential
-    return _Side(n=n, h=(x1 - x0) / n, rho=rho,
-                 x_nodes=xn,
-                 p_nodes=np.asarray(pot.p_at(xn), float),
-                 q_nodes=np.asarray(pot.q_at(xn), float),
-                 p_mid=np.asarray(pot.p_at(xm), float),
-                 q_mid=np.asarray(pot.q_at(xm), float))
+    xa, xb = (xn[:-1] + g * h for g in _GAUSS)
+    p1, q1, p2, q2 = pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb)
+    # Omega = h/2 (A1 + A2) + sqrt(3) h^2 / 12 [A2, A1] with
+    # A = [[q, -(p + s)], [s - p, -q]] is [[a, d - j], [d + j, -a]], where
+    # a, d and j are affine in s
+    k = np.sqrt(3.0) * h * h / 6.0
+    a0, a1 = 0.5 * h * (q1 + q2), -k * (p2 - p1)
+    d0, d1 = -0.5 * h * (p1 + p2), -k * (q2 - q1)
+    j0, j1 = k * (q2 * p1 - p2 * q1), h
+    omega = np.array([a0, a1, d0 - j0, d1 - j1, d0 + j0, d1 + j1])
+    return _Side(n=len(h), rho=rho, x_nodes=xn, omega=omega)
 
 
 @lru_cache(maxsize=64)
-def build_grid(config: ProblemConfig, refine: int = 1) -> _Grid:
-    """Integration grid with a node exactly at the jump; even steps per side.
-    Refining multiplies each side's steps, so refined grids nest."""
+def build_grid(config: ProblemConfig) -> _Grid:
+    """The one integration grid of a problem: a node exactly at the jump and
+    at every potential breakpoint, an even count of equal steps per piece."""
     w = config.weight
     nl = max(64, int(round(config.grid_points * w.a / PI)))
     nr = max(64, config.grid_points - nl)
-    nl = refine * (nl + nl % 2)
-    nr = refine * (nr + nr % 2)
-    left = _make_side(config, 0.0, w.a, nl, 1.0)
-    right = _make_side(config, w.a, PI, nr, w.alpha)
+    left = _make_side(config, 0.0, w.a, nl + nl % 2, 1.0)
+    right = _make_side(config, w.a, PI, nr + nr % 2, w.alpha)
     xs = np.concatenate([left.x_nodes, right.x_nodes[1:]])
-    return _Grid(xs=xs, ia=nl, left=left, right=right,
-                 h_max=max(left.h, right.h))
-
-
-def _refine_factor(config: ProblemConfig, lam_scale: float) -> int:
-    h = build_grid(config, 1).h_max
-    return max(1, int(math.ceil(lam_scale * h / _PHASE_LIMIT)))
+    return _Grid(xs=xs, ia=left.n, left=left, right=right)
 
 
 # ---------------------------------------------------------------------------
-# RK4 sweeps
+# Magnus sweeps
 # ---------------------------------------------------------------------------
 
-def _rk4_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
+def _magnus_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
     """March one smooth side from the states in ``out[:, 0]`` and write the
-    state at every further node into ``out`` (batch, side.n + 1, 2)."""
-    h = side.h
-    pn, qn = side.p_nodes, side.q_nodes
-    pm, qm = side.p_mid, side.q_mid
+    state at every further node into ``out`` (batch, side.n + 1, 2).
+
+    Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega with
+    w^2 = -(Omega11^2 + Omega12 Omega21); both terms are even in w, so the
+    branch of the square root does not matter, and sinc has none at w = 0.
+    """
+    s = lam_rho
     y1, y2 = out[:, 0, 0], out[:, 0, 1]
-    for j in range(side.n):
-        p0, q0, p1, q1 = pn[j], qn[j], pn[j + 1], qn[j + 1]
-        pmj, qmj = pm[j], qm[j]
-
-        k11 = q0 * y1 - (p0 + lam_rho) * y2
-        k12 = (lam_rho - p0) * y1 - q0 * y2
-        u1 = y1 + 0.5 * h * k11
-        u2 = y2 + 0.5 * h * k12
-        k21 = qmj * u1 - (pmj + lam_rho) * u2
-        k22 = (lam_rho - pmj) * u1 - qmj * u2
-        u1 = y1 + 0.5 * h * k21
-        u2 = y2 + 0.5 * h * k22
-        k31 = qmj * u1 - (pmj + lam_rho) * u2
-        k32 = (lam_rho - pmj) * u1 - qmj * u2
-        u1 = y1 + h * k31
-        u2 = y2 + h * k32
-        k41 = q1 * u1 - (p1 + lam_rho) * u2
-        k42 = (lam_rho - p1) * u1 - q1 * u2
-
-        y1 = y1 + (h / 6.0) * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-        y2 = y2 + (h / 6.0) * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
-        out[:, j + 1, 0] = y1
-        out[:, j + 1, 1] = y2
+    for j, (a0, a1, b0, b1, c0, c1) in enumerate(side.omega.T, 1):
+        o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
+        w = np.sqrt(-(o11 * o11 + o12 * o21))
+        cw, sw = np.cos(w), np.sinc(w / np.pi)
+        y1, y2 = (cw * y1 + sw * (o11 * y1 + o12 * y2),
+                  cw * y2 + sw * (o21 * y1 - o11 * y2))
+        out[:, j, 0] = y1
+        out[:, j, 1] = y2
 
 
 def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
@@ -154,25 +164,25 @@ def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
 
     ``endpoint`` selects where ``inits`` is imposed: ``"left"`` (x = 0,
     integrate rightward) or ``"right"`` (x = pi, integrate leftward).
-    Returns ``(xs, ys, ia)`` with ``ys`` of shape (batch, N+1, 2).
+    Returns ``(xs, ys, ia)`` with ``ys`` of shape (batch, N+1, 2) on
+    ``build_grid(config)``, whatever the lambda.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if endpoint not in ("left", "right"):
         raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
-    refine = _refine_factor(config, float(np.max(np.abs(lams))) if lams.size else 0.0)
-    grid = build_grid(config, refine)
+    grid = build_grid(config)
 
     ys = np.empty((len(lams), len(grid.xs), 2), dtype=complex)
     if endpoint == "left":
         view, first, second = ys, grid.left, grid.right
     else:
-        # leftward is the same sweep over reversed samples into a reversed view
+        # leftward is the same sweep over reversed steps into a reversed view
         view, first, second = ys[:, ::-1], grid.right.reversed(), grid.left.reversed()
     view[:, 0] = inits
     # non-finite states are detected and reported below; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_side(first, lams * first.rho, view[:, :first.n + 1])
-        _rk4_side(second, lams * second.rho, view[:, first.n:])
+        _magnus_side(first, lams * first.rho, view[:, :first.n + 1])
+        _magnus_side(second, lams * second.rho, view[:, first.n:])
 
     if not np.all(np.isfinite(ys)):
         bad = np.where(~np.isfinite(ys).all(axis=(1, 2)))[0][0]
@@ -217,10 +227,6 @@ def phi_many(config: ProblemConfig, lams):
 def psi_many(config: ProblemConfig, lams):
     """Right-normalized solution batch; the U2 boundary form vanishes on it."""
     return propagate_many(config, lams, psi_init(config, lams), "right")
-
-
-def c_many(config: ProblemConfig, lams):
-    return propagate_many(config, lams, c_init(config, lams), "left")
 
 
 def phi(config: ProblemConfig, lam) -> Trajectory:

@@ -28,15 +28,6 @@ class WeylSample:
     identity_defect: float
 
 
-def _direct_from_psi0(config: ProblemConfig, lam, psi0):
-    """(M, Delta) from psi(0) of shape (..., 2); M = -(b4 psi1 + b3 psi2) / (k1 Delta)
-    is inf or nan at a pole, which callers guard."""
-    b = config.boundary
-    dval = charfn.u1_form(config, lam, psi0[..., 0], psi0[..., 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -(b.b4 * psi0[..., 0] + b.b3 * psi0[..., 1]) / (b.k1 * dval), dval
-
-
 def _nearest_root_estimate(config: ProblemConfig, lam, dval) -> complex:
     # one Newton step from lam; adequate for an error message
     try:
@@ -49,25 +40,24 @@ def _nearest_root_estimate(config: ProblemConfig, lam, dval) -> complex:
 
 
 def _direct_many(config: ProblemConfig, lams):
-    """(M, Delta) lists at ``lams`` and their psi batch from one propagation;
-    raises PoleError at the first lambda within the pole guard."""
-    lams = [complex(lam) for lam in np.atleast_1d(lams)]
+    """(M, Delta) arrays at ``lams`` and their psi batch from one propagation,
+    M = -(b4 psi1(0) + b3 psi2(0)) / (k1 Delta); raises PoleError at the first
+    lambda within the pole guard."""
+    b = config.boundary
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     _, psis, _ = integrator.psi_many(config, lams)
-    ms, dvals = [], []
-    # one lambda at a time: numpy's scalar and vector complex products round
-    # differently, and M near a pole magnifies the difference
-    for lam, psi in zip(lams, psis):
-        m, dval = _direct_from_psi0(config, lam, psi[0])
-        if abs(dval) <= _POLE_GUARD:
-            raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
-        ms.append(complex(m))
-        dvals.append(complex(dval))
-    return ms, dvals, psis
+    psi1, psi2 = psis[:, 0, 0], psis[:, 0, 1]
+    dvals = charfn.u1_form(config, lams, psi1, psi2)
+    poles = np.flatnonzero(np.abs(dvals) <= _POLE_GUARD)
+    if poles.size:
+        lam, dval = complex(lams[poles[0]]), complex(dvals[poles[0]])
+        raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
+    return -(b.b4 * psi1 + b.b3 * psi2) / (b.k1 * dvals), dvals, psis
 
 
 def weyl_direct(config: ProblemConfig, lam) -> complex:
     """Boundary trace of the Weyl solution at lambda (off the spectrum)."""
-    return _direct_many(config, lam)[0][0]
+    return complex(_direct_many(config, lam)[0][0])
 
 
 def weyl_series(config: ProblemConfig, lam, data) -> complex:
@@ -90,7 +80,7 @@ def _weyl_solution(config: ProblemConfig, lam):
     left batch of phi and C."""
     lam = complex(lam)
     ms, dvals, psis = _direct_many(config, lam)
-    m, phi_w = ms[0], psis[0] / dvals[0]
+    m, phi_w = complex(ms[0]), psis[0] / dvals[0]
     xs, ys, ia = integrator.propagate_many(
         config, [lam, lam],
         np.vstack([integrator.phi_init(config, lam), integrator.c_init(config, lam)]),
@@ -130,6 +120,6 @@ def residue_check(config: ProblemConfig, datum) -> float:
     radius = 1e-3
     points = lam_n + radius * np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]) * np.pi)
     ms = _direct_many(config, points)[0]
-    estimate = np.mean([(p - lam_n) * m for p, m in zip(points, ms)])
+    estimate = np.mean((points - lam_n) * ms)
     target = 1.0 / datum.alpha_n
     return float(abs(estimate - target) / abs(target))

@@ -46,7 +46,7 @@ def _single(E, i):
 
 def _simpson_inner(config, Y, Z):
     """<Y, Z> by scipy's Simpson rule on each side of the jump node."""
-    ia = integrator.build_grid(config, 1).ia
+    ia = integrator.build_grid(config).ia
     g = Y.f1 * np.conj(Z.f1) + Y.f2 * np.conj(Z.f2)
     b = config.boundary
     return (simpson(g[:ia + 1], x=Y.xs[:ia + 1])

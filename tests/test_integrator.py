@@ -12,7 +12,7 @@ from conftest import reference_config
 
 
 def test_grid_has_node_exactly_at_jump(r1):
-    grid = integrator.build_grid(r1, 1)
+    grid = integrator.build_grid(r1)
     assert grid.xs[0] == 0.0
     assert grid.xs[-1] == pytest.approx(PI, abs=1e-15)
     assert grid.xs[grid.ia] == r1.weight.a
@@ -23,7 +23,7 @@ def test_grid_has_node_exactly_at_jump(r1):
 
 def test_grid_respects_minimum_side_resolution():
     cfg = reference_config(grid_points=16)
-    grid = integrator.build_grid(cfg, 1)
+    grid = integrator.build_grid(cfg)
     assert grid.left.n >= 64 and grid.right.n >= 64
 
 
