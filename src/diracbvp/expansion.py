@@ -191,22 +191,31 @@ def resolvent_residual(config: ProblemConfig, lam, f: HElement,
                        traj: integrator.Trajectory):
     """(ODE residual, boundary residual) of a resolvent output, max-norm.
 
-    Derivatives are finite-differenced per smooth side so the weight jump
-    does not pollute the check.
+    Derivatives are finite-differenced per smooth piece of the grid, split at
+    the weight jump and at every potential breakpoint, where y' jumps.  p and
+    q are read a billionth of the piece's length inside it, because a
+    breakpoint node carries the right segment's value.
     """
     lam = complex(lam)
-    ia = _check_grid(config, f).ia
+    grid = _check_grid(config, f)
+    xs, ia = grid.xs, grid.ia
     pot = config.potential
     alpha = config.weight.alpha
+    ends = np.unique([0, ia, len(xs) - 1,
+                      *np.searchsorted(xs, integrator._cuts(config))])
     ode_max = 0.0
-    for sl, rho in ((slice(0, ia + 1), 1.0), (slice(ia, None), alpha)):
-        xs = traj.xs[sl]
+    for i0, i1 in zip(ends[:-1], ends[1:]):
+        sl = slice(i0, i1 + 1)
+        rho = 1.0 if i1 <= ia else alpha
+        x = xs[sl]
+        inset = 1e-9 * (x[-1] - x[0])
+        x_in = np.clip(x, x[0] + inset, x[-1] - inset)
+        p = np.asarray(pot.p_at(x_in), float)
+        q = np.asarray(pot.q_at(x_in), float)
         y1 = traj.ys[sl, 0]
         y2 = traj.ys[sl, 1]
-        p = np.asarray(pot.p_at(xs), float)
-        q = np.asarray(pot.q_at(xs), float)
-        d1 = np.gradient(y1, xs, edge_order=2)
-        d2 = np.gradient(y2, xs, edge_order=2)
+        d1 = np.gradient(y1, x, edge_order=2)
+        d2 = np.gradient(y2, x, edge_order=2)
         r1 = d2 + p * y1 + q * y2 - lam * rho * y1 - rho * f.f1[sl]
         r2 = -d1 + q * y1 - p * y2 - lam * rho * y2 - rho * f.f2[sl]
         ode_max = max(ode_max, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))

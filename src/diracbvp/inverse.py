@@ -1,12 +1,14 @@
 """Potential reconstruction from spectral data {lambda_n, alpha_n}.
 
 Boundary coefficients and the weight are assumed known; only the finitely
-parametrized potential pair (p, q) is recovered, by derivative-free
-minimization of a weighted data misfit.  Eigenvalues of a candidate
-potential are matched to the target ones by a local sign-change scan around
-each target, refined by the eigensolver's batched Illinois regula falsi; a
-target without a bracket contributes a penalty instead of raising, so the
-objective stays total.
+parametrized potential pair (p, q) is recovered, by one Levenberg-Marquardt
+least-squares solve on the weighted residual vector, sqrt(w)(lambda - lambda*)
+stacked on sqrt(w)(log alpha - log alpha*), with a finite-difference
+Jacobian.  Eigenvalues of a candidate potential are matched to the target
+ones by a local sign-change scan around each target, refined by the
+eigensolver's batched Illinois regula falsi; a target without a bracket
+contributes a penalty residual instead of raising, so the objective stays
+total.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .errors import ConfigError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
@@ -132,8 +134,16 @@ def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
     return roots
 
 
-def misfit(problem: InverseProblem, params) -> float:
-    """Weighted squared data misfit; penalized (finite) on matching failure."""
+def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
+    """sqrt(w)(lambda - lambda*) stacked on sqrt(w)(log alpha - log alpha*)."""
+    sw = np.sqrt(w)
+    return np.concatenate([sw * (lams - lams_star),
+                           sw * (np.log(alphas) - np.log(alphas_star))])
+
+
+def residuals(problem: InverseProblem, params) -> np.ndarray:
+    """Weighted data residuals of a candidate potential; an unmatched target
+    contributes sqrt(w * penalty) for lambda and 0 for alpha."""
     config = problem.make_config(params)
     targets = problem.target.lambdas()
     alphas_star = problem.target.alphas()
@@ -142,19 +152,34 @@ def misfit(problem: InverseProblem, params) -> float:
 
     roots = _match_roots(config, targets, half)
     ok = ~np.isnan(roots)
-    J = float(np.sum(w[~ok]) * _PENALTY)
+    alphas = alphas_star.copy()
     if np.any(ok):
         xs, phis, _ = integrator.phi_many(config, roots[ok])
-        alphas = expansion._squared_norms(config, xs, phis)
-        lam_term = (roots[ok] - targets[ok]) ** 2
-        alpha_term = (np.log(alphas) - np.log(alphas_star[ok])) ** 2
-        J += float(np.sum(w[ok] * (lam_term + alpha_term)))
-    return J
+        alphas[ok] = expansion._squared_norms(config, xs, phis)
+    r = _data_residuals(w, np.where(ok, roots, targets), targets, alphas, alphas_star)
+    r[:len(targets)][~ok] = np.sqrt(w[~ok] * _PENALTY)
+    return r
+
+
+def misfit(problem: InverseProblem, params) -> float:
+    """Weighted squared data misfit; penalized (finite) on matching failure."""
+    return float(np.sum(residuals(problem, params) ** 2))
+
+
+class _BudgetSpent(Exception):
+    """Ends the least-squares solve once ``max_evals`` residuals were taken."""
 
 
 def reconstruct(problem: InverseProblem, init,
-                max_evals: int = 2000, restarts: int = 1) -> ReconstructionResult:
-    """Minimize the data misfit by Nelder-Mead with restarts."""
+                max_evals: int = 2000) -> ReconstructionResult:
+    """Fit the potential parameters to the target data by one
+    Levenberg-Marquardt solve on :func:`residuals`.
+
+    Every residual evaluation counts against ``max_evals``, the ones of the
+    finite-difference Jacobian included; the solve stops after exactly that
+    many.  ``trace`` holds the best misfit after each evaluation, and
+    ``converged`` is the solver's own success, False when the budget ran out.
+    """
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.basis.dim,):
         raise ValueError(
@@ -164,24 +189,20 @@ def reconstruct(problem: InverseProblem, init,
     best = {"x": init.copy(), "f": np.inf}
 
     def objective(x):
-        f = misfit(problem, x)
+        # scipy's "lm" does not count its Jacobian evaluations against max_nfev
+        if len(trace) >= max_evals:
+            raise _BudgetSpent
+        r = residuals(problem, x)
+        f = float(np.sum(r ** 2))
         if f < best["f"]:
             best["f"], best["x"] = f, np.array(x)
         trace.append(best["f"])
-        return f
+        return r
 
-    x0 = init
-    remaining = max_evals
-    converged = False
-    for _ in range(restarts + 1):
-        if remaining <= 0 or converged:
-            break
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-10,
-                                "maxfev": remaining, "adaptive": True})
-        remaining = max_evals - len(trace)
-        converged = bool(res.success) or best["f"] < 1e-8
-        x0 = best["x"]
+    try:
+        converged = bool(least_squares(objective, init, method="lm").success)
+    except _BudgetSpent:
+        converged = False
 
     return ReconstructionResult(parameters=tuple(float(v) for v in best["x"]),
                                 misfit=float(best["f"]),
@@ -198,9 +219,8 @@ def uniqueness_probe(config_a: ProblemConfig, config_b: ProblemConfig,
     da = synthesize_data(config_a, N)
     db = synthesize_data(config_b, N)
     w = default_weights([d.n for d in da])
-    lam_term = (da.lambdas() - db.lambdas()) ** 2
-    alpha_term = (np.log(da.alphas()) - np.log(db.alphas())) ** 2
-    return float(np.sum(w * (lam_term + alpha_term)))
+    r = _data_residuals(w, da.lambdas(), db.lambdas(), da.alphas(), db.alphas())
+    return float(np.sum(r ** 2))
 
 
 def potential_l2_distance(config_a: ProblemConfig, config_b: ProblemConfig) -> float:
