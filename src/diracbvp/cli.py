@@ -105,11 +105,10 @@ def cmd_eigs(args) -> int:
 def _weyl_rows(config, lams, data):
     lams = np.asarray(lams, dtype=complex)
     ms = weyl._direct_many(config, lams)[0]
-    for lam, m in zip(lams, ms):
-        m_series = weyl.weyl_series(config, lam, data)
-        defect = abs(m - m_series)
+    series = weyl.weyl_series(config, lams, data)
+    for lam, m, m_series in zip(lams, ms, series):
         yield [_fmt(lam.real), _fmt(lam.imag), _fmt(m.real), _fmt(m.imag),
-               _fmt(defect)]
+               _fmt(abs(m - m_series))]
 
 
 def cmd_weyl(args) -> int:

@@ -1,9 +1,13 @@
 """Real eigenvalue location, norming constants, and spectral identities.
 
-Roots of the characteristic function are bracketed around closed-form
-asymptotic seeds and refined by batched Illinois regula falsi (Dowell and
-Jarratt 1971), the one root refiner of the package, which the inverse solver
-shares; all heavy evaluations run as single batched propagations.
+Roots of the characteristic function are bracketed by one uniform sign scan
+over the range of their closed-form asymptotic seeds.  The scan is accepted
+only when an argument-principle count of the zeros in a rectangle around it
+(Delves and Lyness 1967) equals its number of sign changes, so no root inside
+the range goes unseen.  The brackets are refined by batched Illinois regula
+falsi (Dowell and Jarratt 1971), the one root refiner of the package, which
+the inverse solver shares; all heavy evaluations run as single batched
+propagations.
 """
 from __future__ import annotations
 
@@ -19,6 +23,10 @@ from .model import PI, ProblemConfig, config_fingerprint, mu
 from . import charfn, expansion, integrator
 
 _DEDUP_TOL = 1e-8
+#: samples per seed spacing pi / mu(pi) of the first sign scan, and the number
+#: of times the scan and its contour may be sampled twice as densely
+_SCAN_STEPS = 8
+_SCAN_LEVELS = 4
 _SIMPLE_TOL = 1e-6
 _PROP_RESIDUAL_TOL = 1e-5
 #: root refinement stops once its step or bracket is this small, relative to
@@ -144,68 +152,65 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     raise RootRefinementError(_MAX_SWEEPS, b[~done])
 
 
+def _contour_count(config: ProblemConfig, lo: float, hi: float, step: float):
+    """Zeros of Delta in the rectangle [lo, hi] x [-i s, i s], s = pi / mu(pi),
+    by the argument principle (Delves and Lyness 1967), and the largest phase
+    step taken.
+
+    Delta is real on the real axis, so the upper half of the boundary, from
+    ``hi`` up, along Im lambda = s and down to ``lo``, carries half the
+    winding; its samples are at most ``step`` apart.
+    """
+    s = PI / mu(PI, config.weight)
+    up = 1j * np.linspace(0.0, s, int(np.ceil(s / step)) + 1)
+    across = np.linspace(hi, lo, int(np.ceil((hi - lo) / step)) + 1)[1:-1] + 1j * s
+    d = charfn.delta_many(config, np.concatenate([hi + up, across, lo + up[::-1]]))
+    # arg of d[k+1] / d[k], written without a division
+    steps = np.angle(d[1:] * np.conj(d[:-1]))
+    return int(np.rint(np.sum(steps) / PI)), float(np.max(np.abs(steps)))
+
+
+def _best_run(short, long) -> int:
+    """Offset of the contiguous run of ``long`` with least sum |long - short|."""
+    k = len(short)
+    return int(np.argmin([np.sum(np.abs(long[i:i + k] - short))
+                          for i in range(len(long) - k + 1)]))
+
+
 def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralDataSet:
-    """Locate eigenvalues for indices n_min..n_max and complete their data."""
+    """Locate eigenvalues for indices n_min..n_max and complete their data.
+
+    One uniform sign scan of Delta over the seed range, widened by 3/4 of the
+    seed spacing s on each side, is accepted only when an argument-principle
+    count agrees with its number of sign changes; otherwise the scan and the
+    contour are both sampled twice as densely, up to ``_SCAN_LEVELS`` times.
+    The indices go to the contiguous run of roots nearest the seed ladder.
+    """
     if n_min > n_max:
         raise ValueError(f"n_min = {n_min} exceeds n_max = {n_max}")
     ns = list(range(n_min, n_max + 1))
-    mu_pi = mu(PI, config.weight)
-    half = PI / (2.0 * mu_pi)
     seeds = np.array([charfn.asymptotic_seed(config, n) for n in ns])
+    s = PI / mu(PI, config.weight)
+    lo, hi = seeds[0] - 0.75 * s, seeds[-1] + 0.75 * s
+    for level in range(_SCAN_LEVELS):
+        pts = np.linspace(lo, hi, int(np.ceil((hi - lo) / s * (_SCAN_STEPS << level))) + 1)
+        vals = _real_delta(config, pts)
+        # an exact zero counts as positive, so it opens exactly one bracket
+        j = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+        count, worst = _contour_count(config, lo, hi, pts[1] - pts[0])
+        if count == len(j) and worst < PI / 2.0:
+            break
+    else:
+        raise MissingRootError(ns)
 
-    # one batched scan over all windows; small-|n| windows are widened and
-    # sampled finely because the asymptotic seeds are unreliable there
-    windows = []
-    for n, s in zip(ns, seeds):
-        w = 1.5 * half if abs(n) <= 3 else half
-        k = 64 if abs(n) <= 3 else 24
-        windows.append(np.linspace(s - w, s + w, k))
-    flat = np.concatenate(windows)
-    fvals = _real_delta(config, flat)
-
-    lo, hi, flo, fhi = [], [], [], []
-    missing = []
-    pos = 0
-    for n, pts in zip(ns, windows):
-        vals = fvals[pos: pos + len(pts)]
-        pos += len(pts)
-        # exact-zero samples create twin brackets; deduplication removes them
-        sign_change = np.where(vals[:-1] * vals[1:] <= 0.0)[0]
-        if len(sign_change) == 0:
-            missing.append(n)
-            continue
-        for j in sign_change:
-            lo.append(pts[j])
-            hi.append(pts[j + 1])
-            flo.append(vals[j])
-            fhi.append(vals[j + 1])
-
-    roots = _refine_roots(config, lo, hi, flo, fhi) if lo else np.array([])
-    roots = np.sort(roots)
-    if len(roots):
-        keep = np.concatenate([[True], np.diff(roots) > _DEDUP_TOL * (1 + np.abs(roots[1:]))])
-        roots = roots[keep]
-
-    expected = len(ns)
-    if len(roots) > expected:
-        # widened windows can capture a neighbor's root; keep the contiguous
-        # run best matching the seed ladder
-        best, best_cost = 0, np.inf
-        for off in range(len(roots) - expected + 1):
-            cost = float(np.sum(np.abs(roots[off: off + expected] - seeds)))
-            if cost < best_cost:
-                best, best_cost = off, cost
-        roots = roots[best: best + expected]
-
-    if missing or len(roots) < expected:
-        partial = None
-        if len(roots):
-            avail = [n for n in ns if n not in missing][: len(roots)]
-            partial = _complete(config, avail, roots[: len(avail)],
-                                np.array([charfn.asymptotic_seed(config, n) for n in avail]))
-        raise MissingRootError(missing or ns[len(roots):], partial=partial)
-
-    return _complete(config, ns, roots, seeds)
+    roots = _refine_roots(config, pts[j], pts[j + 1], vals[j], vals[j + 1])
+    if len(roots) >= len(ns):
+        off = _best_run(seeds, roots)
+        return _complete(config, ns, roots[off:off + len(ns)], seeds)
+    off = _best_run(roots, seeds)
+    kept = slice(off, off + len(roots))
+    partial = _complete(config, ns[kept], roots, seeds[kept]) if len(roots) else None
+    raise MissingRootError(ns[:off] + ns[off + len(roots):], partial=partial)
 
 
 def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:

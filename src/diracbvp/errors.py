@@ -34,17 +34,20 @@ class PoleError(DiracBVPError, ZeroDivisionError):
 
 
 class MissingRootError(DiracBVPError, RuntimeError):
-    """No sign change of the characteristic function in a search window.
+    """Requested indices without an eigenvalue.
 
-    ``partial`` carries whatever spectral data was still recoverable.
+    Raised when the sign scan of the characteristic function holds fewer
+    roots than indices, or when its root count could not be certified at
+    any scan density.  ``partial`` carries whatever spectral data was still
+    recoverable.
     """
 
     def __init__(self, missing_indices, partial=None):
         self.missing_indices = tuple(missing_indices)
         self.partial = partial
         super().__init__(
-            "no characteristic-function root found for index(es) "
-            f"{list(self.missing_indices)}; widen the scan window"
+            "no certified characteristic-function root for index(es) "
+            f"{list(self.missing_indices)}"
         )
 
 

@@ -60,19 +60,28 @@ def weyl_direct(config: ProblemConfig, lam) -> complex:
     return complex(_direct_many(config, lam)[0][0])
 
 
-def weyl_series(config: ProblemConfig, lam, data) -> complex:
-    """Symmetric partial sum of the pole expansion over the supplied data."""
+def weyl_series(config: ProblemConfig, lam, data):
+    """Symmetric partial sum of the pole expansion over the supplied data.
+
+    ``lam`` may be an array; each of its values is summed in the same order
+    as alone, and a scalar ``lam`` gives a ``complex``.
+    """
     if len(data) == 0:
         raise ValueError("empty spectral data set")
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)
     lams = np.array([d.lambda_n for d in data])
     alphas = np.array([d.alpha_n for d in data])
-    gaps = lam - lams
-    if np.any(np.abs(gaps) < 1e-12):
-        raise PoleError(lam, nearest=float(lams[np.argmin(np.abs(gaps))]))
     # accumulate from the outermost indices inward: pairs at +-n nearly cancel
     order = np.argsort(-np.abs(lams))
-    return complex(np.sum(1.0 / (alphas[order] * gaps[order])))
+    lams, alphas = lams[order], alphas[order]
+    gaps = lam.reshape(-1, 1) - lams
+    near = np.abs(gaps) < 1e-12
+    if near.any():
+        row = np.argmax(near.any(axis=1))
+        raise PoleError(complex(lam.ravel()[row]),
+                        nearest=float(lams[np.argmin(np.abs(gaps[row]))]))
+    sums = np.sum(1.0 / (alphas * gaps), axis=1)
+    return complex(sums[0]) if lam.ndim == 0 else sums.reshape(lam.shape)
 
 
 def _weyl_solution(config: ProblemConfig, lam):
