@@ -16,6 +16,10 @@ from .errors import ConfigError, DomainError
 from .model import PI, ProblemConfig, mu
 from . import integrator
 
+#: lambda per propagation in :func:`delta_many`; only psi(0) is kept, so this
+#: bounds the trajectory buffer, and no value depends on it
+_DELTA_BATCH = 512
+
 
 @dataclass(frozen=True)
 class CharEval:
@@ -41,10 +45,13 @@ def u2_form(config: ProblemConfig, lam, y1_pi, y2_pi):
 
 
 def delta_many(config: ProblemConfig, lams) -> np.ndarray:
-    """Batched Delta via the U1 form on psi (one propagation per lambda)."""
+    """Batched Delta via the U1 form on psi, propagated at most
+    ``_DELTA_BATCH`` lambda at a time."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    _, ys, _ = integrator.psi_many(config, lams)
-    return u1_form(config, lams, ys[:, 0, 0], ys[:, 0, 1])
+    psi0 = np.empty((len(lams), 2), dtype=complex)
+    for i in range(0, len(lams), _DELTA_BATCH):
+        psi0[i:i + _DELTA_BATCH] = integrator.psi_many(config, lams[i:i + _DELTA_BATCH])[1][:, 0]
+    return u1_form(config, lams, psi0[:, 0], psi0[:, 1])
 
 
 def delta(config: ProblemConfig, lam) -> CharEval:

@@ -152,22 +152,32 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     raise RootRefinementError(_MAX_SWEEPS, b[~done])
 
 
-def _contour_count(config: ProblemConfig, lo: float, hi: float, step: float):
-    """Zeros of Delta in the rectangle [lo, hi] x [-i s, i s], s = pi / mu(pi),
-    by the argument principle (Delves and Lyness 1967), and the largest phase
-    step taken.
-
-    Delta is real on the real axis, so the upper half of the boundary, from
-    ``hi`` up, along Im lambda = s and down to ``lo``, carries half the
-    winding; its samples are at most ``step`` apart.
-    """
+def _contour_points(config: ProblemConfig, lo: float, hi: float, step: float) -> np.ndarray:
+    """The upper half of the boundary of [lo, hi] x [-i s, i s], s = pi / mu(pi),
+    from ``hi`` up, along Im lambda = s and down to ``lo``, with samples at
+    most ``step`` apart."""
     s = PI / mu(PI, config.weight)
     up = 1j * np.linspace(0.0, s, int(np.ceil(s / step)) + 1)
     across = np.linspace(hi, lo, int(np.ceil((hi - lo) / step)) + 1)[1:-1] + 1j * s
-    d = charfn.delta_many(config, np.concatenate([hi + up, across, lo + up[::-1]]))
+    return np.concatenate([hi + up, across, lo + up[::-1]])
+
+
+def _winding(d: np.ndarray):
+    """Zeros of Delta inside the rectangle of :func:`_contour_points`, from
+    Delta ``d`` along its path, and the largest phase step taken.
+
+    Delta is real on the real axis, so the upper half of the boundary carries
+    half the winding (the argument principle; Delves and Lyness 1967).
+    """
     # arg of d[k+1] / d[k], written without a division
     steps = np.angle(d[1:] * np.conj(d[:-1]))
     return int(np.rint(np.sum(steps) / PI)), float(np.max(np.abs(steps)))
+
+
+def _contour_count(config: ProblemConfig, lo: float, hi: float, step: float):
+    """Zeros of Delta in the rectangle [lo, hi] x [-i s, i s], s = pi / mu(pi),
+    and the largest phase step taken along samples at most ``step`` apart."""
+    return _winding(charfn.delta_many(config, _contour_points(config, lo, hi, step)))
 
 
 def _best_run(short, long) -> int:
@@ -194,10 +204,13 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
     lo, hi = seeds[0] - 0.75 * s, seeds[-1] + 0.75 * s
     for level in range(_SCAN_LEVELS):
         pts = np.linspace(lo, hi, int(np.ceil((hi - lo) / s * (_SCAN_STEPS << level))) + 1)
-        vals = _real_delta(config, pts)
+        # the scan and its contour are one batch; Delta does not depend on it
+        d = charfn.delta_many(config, np.concatenate(
+            [pts, _contour_points(config, lo, hi, pts[1] - pts[0])]))
+        vals = np.real(d[:len(pts)])
         # an exact zero counts as positive, so it opens exactly one bracket
         j = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
-        count, worst = _contour_count(config, lo, hi, pts[1] - pts[0])
+        count, worst = _winding(d[len(pts):])
         if count == len(j) and worst < PI / 2.0:
             break
     else:

@@ -8,7 +8,10 @@ at the weight jump and at every breakpoint of a piecewise potential, and no
 lambda needs a finer grid.  A batch of lambda values is swept forward, side by
 side, into one (batch, N+1, 2) result allocated once; a leftward propagation
 is the same sweep over reversed, negated steps into a reversed view of the
-result.  The scalar entry points run a batch of one through :func:`propagate`.
+result.  The sweep builds the step matrices of a run of steps in one
+vectorised pass and then takes only the serial 2x2 products step by step; the
+run length bounds its temporaries and changes no value.  The scalar entry
+points run a batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
@@ -24,6 +27,10 @@ from .model import PI, ProblemConfig
 
 #: offsets of the two Gauss points of a step, in units of its length
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+#: lambda-steps per block of step matrices built at once; it bounds the
+#: sweep's temporaries to a few arrays of this many entries, and no value
+#: depends on it
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -146,17 +153,23 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega with
     w^2 = -(Omega11^2 + Omega12 Omega21); both terms are even in w, so the
     branch of the square root does not matter, and sinc has none at w = 0.
+    The step matrices of each run of k steps are built at once as (k, batch)
+    entry arrays, with k * batch near ``_BLOCK``; only the 2x2 products that
+    carry the state from step to step are taken one step at a time.
     """
     s = lam_rho
     y1, y2 = out[:, 0, 0], out[:, 0, 1]
-    for j, (a0, a1, b0, b1, c0, c1) in enumerate(side.omega.T, 1):
+    k = max(1, _BLOCK // max(1, len(s)))
+    for j0 in range(0, side.n, k):
+        a0, a1, b0, b1, c0, c1 = side.omega[:, j0:j0 + k, None]
         o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
         w = np.sqrt(-(o11 * o11 + o12 * o21))
         cw, sw = np.cos(w), np.sinc(w / np.pi)
-        y1, y2 = (cw * y1 + sw * (o11 * y1 + o12 * y2),
-                  cw * y2 + sw * (o21 * y1 - o11 * y2))
-        out[:, j, 0] = y1
-        out[:, j, 1] = y2
+        m11, m12, m21, m22 = cw + sw * o11, sw * o12, sw * o21, cw - sw * o11
+        for j, r11, r12, r21, r22 in zip(range(j0 + 1, j0 + k + 1), m11, m12, m21, m22):
+            y1, y2 = r11 * y1 + r12 * y2, r21 * y1 + r22 * y2
+            out[:, j, 0] = y1
+            out[:, j, 1] = y2
 
 
 def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
