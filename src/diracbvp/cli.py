@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, charfn, eigensolver, expansion, integrator, inverse, weyl
-from .errors import DiracBVPError, MissingRootError, PoleError
+from .errors import (ConfigError, DiracBVPError, DomainError, MissingRootError,
+                     PoleError)
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight,
                     config_to_dict, load_config)
 
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, PermissionError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, ConfigError, DomainError) as exc:
         print(f"diracbvp: {exc}", file=sys.stderr)
         return EXIT_IO
     except MissingRootError as exc:
@@ -372,3 +373,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -3,7 +3,9 @@
 Elements of the underlying Hilbert space pair a two-component function on
 [0, pi] with two boundary scalars; the inner product weights the integral by
 rho and the scalars by 1/k1 and 1/k2.  :func:`gram` is its one implementation:
-norming constants, coefficients and orthogonality are all read off it.
+norming constants, coefficients and orthogonality are all read off it.  One
+Simpson rule, :func:`_simpson_halves`, gives its weights and the resolvent's
+cumulative integrals.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import GridMismatchError, PoleError
 from .model import ProblemConfig
@@ -38,6 +39,27 @@ def _check_grid(config: ProblemConfig, *elements: HElement):
     return grid
 
 
+def _simpson_halves(x) -> np.ndarray:
+    """Simpson weights of the nodes ``x`` (an even number of steps), taken
+    pair of steps by pair: entry [j, i, k] weighs f(x[2k+i]) in the integral
+    over step j of pair k, h/12 (5, 8, -1) over the first step and
+    h/12 (-1, 8, 5) over the second, h being one step.  A pair never
+    straddles a cut, so its two steps are equal."""
+    h12 = (x[2::2] - x[:-2:2]) / 24.0
+    return np.array([[[5.0], [8.0], [-1.0]], [[-1.0], [8.0], [5.0]]]) * h12
+
+
+def _simpson_weights(x) -> np.ndarray:
+    """Per-node weights of the composite Simpson rule on ``x``: each pair of
+    steps adds the sum of its two halves, h/3 (1, 4, 1)."""
+    pair = _simpson_halves(x).sum(axis=0)
+    w = np.zeros(len(x))
+    w[:-2:2] += pair[0]
+    w[1::2] += pair[1]
+    w[2::2] += pair[2]
+    return w
+
+
 def _boundary_scalars(config: ProblemConfig, f1, f2):
     """(b3 f2(0) + b4 f1(0), c3 f2(pi) + c4 f1(pi)) of single or stacked samples."""
     b = config.boundary
@@ -50,18 +72,12 @@ def gram(config: ProblemConfig, Y: HElement, Z: HElement) -> np.ndarray:
 
     Y and Z live on the config grid.  One weighted matmul,
     (Y1 w) Z1^H + (Y2 w) Z2^H + Y3 Z3^H / k1 + Y4 Z4^H / k2, where w holds the
-    rho-weighted Simpson weights, (x[2k+2] - x[2k]) rho / 6 * (1, 4, 1) for
-    each pair of steps; a pair never straddles a cut, so its steps are equal.
+    rho-weighted Simpson weights of each side of the jump.
     """
     grid = _check_grid(config, Y, Z)
     w = np.zeros(len(grid.xs))
     for side, start in ((grid.left, 0), (grid.right, grid.ia)):
-        x = side.x_nodes
-        span = side.rho * (x[2::2] - x[:-2:2]) / 6.0
-        ws = w[start: start + side.n + 1]
-        ws[:-2:2] += span
-        ws[1::2] += 4.0 * span
-        ws[2::2] += span
+        w[start: start + side.n + 1] += side.rho * _simpson_weights(side.x_nodes)
     b = config.boundary
     y1, y2, z1, z2 = (np.atleast_2d(v) for v in (Y.f1, Y.f2, Z.f1, Z.f2))
     y3, y4, z3, z4 = (np.atleast_1d(v) for v in (Y.f3, Y.f4, Z.f3, Z.f4))
@@ -150,20 +166,19 @@ def expand(config: ProblemConfig, data, f: HElement) -> HElement:
 # Resolvent
 # ---------------------------------------------------------------------------
 
-def _cumulative_complex(values, xs):
-    # scipy's cumulative_simpson silently drops imaginary parts
-    return (cumulative_simpson(values.real, x=xs, initial=0.0)
-            + 1j * cumulative_simpson(values.imag, x=xs, initial=0.0))
-
-
-def _cumulative(config: ProblemConfig, values: np.ndarray, ia: int) -> np.ndarray:
-    """Cumulative rho-weighted integral from 0, split at the jump node."""
-    xs = integrator.build_grid(config).xs
-    alpha = config.weight.alpha
+def _cumulative(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
+    """Cumulative rho-weighted integral from 0 of values on the config grid:
+    the running sum of the Simpson integrals over its single steps."""
+    grid = integrator.build_grid(config)
     values = np.asarray(values, dtype=complex)
-    left = _cumulative_complex(values[:ia + 1], xs[:ia + 1])
-    right = alpha * _cumulative_complex(values[ia:], xs[ia:])
-    return np.concatenate([left, left[-1] + right[1:]])
+    steps = []
+    for side, start in ((grid.left, 0), (grid.right, grid.ia)):
+        f = values[start: start + side.n + 1]
+        halves = _simpson_halves(side.x_nodes)
+        per_pair = (halves[:, 0] * f[:-2:2] + halves[:, 1] * f[1::2]
+                    + halves[:, 2] * f[2::2])
+        steps.append(side.rho * per_pair.T.ravel())
+    return np.concatenate([[0.0], np.cumsum(np.concatenate(steps))])
 
 
 def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Trajectory:
@@ -178,8 +193,8 @@ def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Traje
 
     g_phi = phi_ys[:, 0] * f.f1 + phi_ys[:, 1] * f.f2
     g_psi = psi_ys[:, 0] * f.f1 + psi_ys[:, 1] * f.f2
-    int_phi = _cumulative(config, g_phi, grid.ia)       # integral from 0 to x
-    cum_psi = _cumulative(config, g_psi, grid.ia)
+    int_phi = _cumulative(config, g_phi)                # integral from 0 to x
+    cum_psi = _cumulative(config, g_psi)
     int_psi = cum_psi[-1] - cum_psi                     # integral from x to pi
 
     kernel = -(psi_ys * int_phi[:, None] + phi_ys * int_psi[:, None]) / dval

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import least_squares
 
 from .errors import ConfigError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
@@ -180,6 +178,9 @@ def reconstruct(problem: InverseProblem, init,
     many.  ``trace`` holds the best misfit after each evaluation, and
     ``converged`` is the solver's own success, False when the budget ran out.
     """
+    # imported here, so that importing the package does not load scipy
+    from scipy.optimize import least_squares
+
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.basis.dim,):
         raise ValueError(
@@ -228,4 +229,4 @@ def potential_l2_distance(config_a: ProblemConfig, config_b: ProblemConfig) -> f
     xs = np.linspace(0.0, PI, 1025)
     dp = np.asarray(config_a.potential.p_at(xs)) - np.asarray(config_b.potential.p_at(xs))
     dq = np.asarray(config_a.potential.q_at(xs)) - np.asarray(config_b.potential.q_at(xs))
-    return float(np.sqrt(simpson(dp ** 2 + dq ** 2, x=xs)))
+    return float(np.sqrt(expansion._simpson_weights(xs) @ (dp ** 2 + dq ** 2)))

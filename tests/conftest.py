@@ -4,8 +4,14 @@ R0 has a trivial weight (alpha = 1) so everything has elementary closed
 forms; R1 doubles the weight on the right half so the jump machinery is
 actually exercised.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import diracbvp
 from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
                             Weight)
 
@@ -17,6 +23,15 @@ def reference_config(alpha: float = 1.0, grid_points: int = 1024,
         weight=Weight(alpha=alpha, a=PI / 2.0),
         potential=potential if potential is not None else PotentialSpec.zero(),
         grid_points=grid_points)
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this diracbvp."""
+    src = str(Path(diracbvp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,9 @@ from dataclasses import replace
 
 from diracbvp import cli, eigensolver, inverse
 from diracbvp.errors import MissingRootError
-from diracbvp.model import PotentialSpec, save_config
+from diracbvp.model import PotentialSpec, config_to_dict, save_config
 
-from conftest import reference_config
+from conftest import reference_config, run_python
 
 
 @pytest.fixture()
@@ -96,6 +96,30 @@ def test_malformed_config_is_io_error(tmp_path):
 
 def test_unknown_command_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+
+def _eigs_on_document(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return cli.main(["eigs", "--config", str(path), "--n-min", "0",
+                     "--n-max", "1", "--out", str(tmp_path / "o")])
+
+
+def test_config_with_nonpositive_k1_is_io_error(tmp_path):
+    doc = config_to_dict(reference_config())
+    doc["boundary"]["b2"] = 1.0     # k1 = b1 b4 - b2 b3 = -1
+    assert _eigs_on_document(tmp_path, doc) == cli.EXIT_IO
+
+
+def test_config_without_boundary_is_io_error(tmp_path):
+    doc = config_to_dict(reference_config())
+    del doc["boundary"]
+    assert _eigs_on_document(tmp_path, doc) == cli.EXIT_IO
+
+
+def test_module_entry_point_rejects_unknown_command():
+    proc = run_python("-m", "diracbvp.cli", "frobnicate")
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
 
 
 # ---------------------------------------------------------------------------
