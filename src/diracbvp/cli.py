@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, charfn, eigensolver, expansion, integrator, inverse, weyl
-from .errors import (ConfigError, DiracBVPError, DomainError, MissingRootError,
-                     PoleError)
+from .errors import ConfigError, DiracBVPError, DomainError, MissingRootError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight,
                     config_to_dict, load_config)
 
@@ -27,12 +26,26 @@ EXIT_PARTIAL = 2
 EXIT_SELFCHECK = 3
 EXIT_USAGE = 64
 
+#: exit code by error type: the first row an error is an instance of wins
+_EXIT_CODES = {OSError: EXIT_IO, json.JSONDecodeError: EXIT_IO, ConfigError: EXIT_IO,
+               DomainError: EXIT_IO, DiracBVPError: EXIT_PARTIAL}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _count(minimum: int):
+    """argparse ``type=`` of an integer flag that must be at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a count >= {minimum}, got {value}")
+        return value
+    return count
 
 
 def _fmt(v) -> str:
@@ -174,11 +187,7 @@ def cmd_resolvent(args) -> int:
                      "config": config_to_dict(config)})
     f = expansion.element_from_functions(config, lambda x: 1.0 + 0.0 * x,
                                          lambda x: 0.0 * x)
-    try:
-        traj = expansion.resolvent_apply(config, lam, f)
-    except PoleError as exc:
-        print(f"resolvent: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+    traj = expansion.resolvent_apply(config, lam, f)
     ode_res, bc_res = expansion.resolvent_residual(config, lam, f, traj)
     traj.to_csv(out / "resolvent.csv")
     _write_json(out / "resolvent_summary.json",
@@ -196,9 +205,12 @@ def cmd_invert(args) -> int:
     data = eigensolver.SpectralDataSet.load(args.data)
     with open(args.inverse_config, "r", encoding="utf-8") as fh:
         ic = json.load(fh)
-    basis = inverse.PotentialBasis(kind=ic["basis"]["kind"], m=int(ic["basis"]["m"]))
-    init = [float(v) for v in ic["init"]]
-    budget = int(ic.get("budget", 2000))
+    try:
+        basis = inverse.PotentialBasis(kind=ic["basis"]["kind"], m=int(ic["basis"]["m"]))
+        init = [float(v) for v in ic["init"]]
+        budget = int(ic.get("budget", 2000))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed inverse configuration: {exc}") from exc
     out = Path(args.out)
     _write_manifest(out, "invert", [args.config, args.data, args.inverse_config],
                     {"basis": ic["basis"], "init": init, "budget": budget,
@@ -314,18 +326,18 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--re-min", type=float, default=0.0)
     p.add_argument("--re-max", type=float, default=0.0)
-    p.add_argument("--re-steps", type=int, default=1)
+    p.add_argument("--re-steps", type=_count(1), default=1)
     p.add_argument("--im-min", type=float, default=1.0)
     p.add_argument("--im-max", type=float, default=1.0)
-    p.add_argument("--im-steps", type=int, default=1)
+    p.add_argument("--im-steps", type=_count(1), default=1)
     p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--n-terms", type=int, default=15)
+    p.add_argument("--n-terms", type=_count(0), default=15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("expand", help="eigenfunction expansion of a test element")
     p.add_argument("--config", required=True)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_count(0), default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_expand)
 
@@ -359,16 +371,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError,
-            json.JSONDecodeError, ConfigError, DomainError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"diracbvp: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MissingRootError as exc:
-        print(f"diracbvp: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
-    except DiracBVPError as exc:
-        print(f"diracbvp: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def run() -> None:

@@ -4,21 +4,22 @@ Roots of the characteristic function are bracketed by one uniform sign scan
 over the range of their closed-form asymptotic seeds.  The scan is accepted
 only when an argument-principle count of the zeros in a rectangle around it
 (Delves and Lyness 1967) equals its number of sign changes, so no root inside
-the range goes unseen.  The brackets are refined by batched Illinois regula
-falsi (Dowell and Jarratt 1971), the one root refiner of the package, which
-the inverse solver shares; all heavy evaluations run as single batched
-propagations.
+the range goes unseen; a multiple root counts more than once there but opens
+at most one bracket, so every certified root has multiplicity one.  The
+brackets are refined by batched Illinois regula falsi (Dowell and Jarratt
+1971), the one root refiner of the package, which the inverse solver shares;
+all heavy evaluations run as single batched propagations.
 """
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
 
-from .errors import MissingRootError, NonProportionalError, RootRefinementError
+from .errors import (ConfigError, MissingRootError, NonProportionalError,
+                     RootRefinementError)
 from .model import PI, ProblemConfig, config_fingerprint, mu
 from . import charfn, expansion, integrator
 
@@ -27,7 +28,6 @@ _DEDUP_TOL = 1e-8
 #: of times the scan and its contour may be sampled twice as densely
 _SCAN_STEPS = 8
 _SCAN_LEVELS = 4
-_SIMPLE_TOL = 1e-6
 _PROP_RESIDUAL_TOL = 1e-5
 #: root refinement stops once its step or bracket is this small, relative to
 #: max(1, |lambda|); Illinois regula falsi gets there in well under 10 sweeps
@@ -45,7 +45,6 @@ class SpectralDatum:
     beta_n: float
     delta_dot_n: float
     seed_gap: float
-    simple: bool = True
 
 
 @dataclass(frozen=True)
@@ -87,22 +86,24 @@ class SpectralDataSet:
             "data": [
                 {"n": d.n, "lambda": d.lambda_n, "alpha": d.alpha_n,
                  "beta": d.beta_n, "delta_dot": d.delta_dot_n,
-                 "seed_gap": d.seed_gap, "simple": d.simple}
+                 "seed_gap": d.seed_gap}
                 for d in self.data
             ],
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "SpectralDataSet":
-        data = tuple(
-            SpectralDatum(n=int(r["n"]), lambda_n=float(r["lambda"]),
-                          alpha_n=float(r["alpha"]), beta_n=float(r["beta"]),
-                          delta_dot_n=float(r["delta_dot"]),
-                          seed_gap=float(r["seed_gap"]),
-                          simple=bool(r.get("simple", True)))
-            for r in doc["data"]
-        )
-        return SpectralDataSet(fingerprint=doc["fingerprint"], data=data)
+        try:
+            data = tuple(
+                SpectralDatum(n=int(r["n"]), lambda_n=float(r["lambda"]),
+                              alpha_n=float(r["alpha"]), beta_n=float(r["beta"]),
+                              delta_dot_n=float(r["delta_dot"]),
+                              seed_gap=float(r["seed_gap"]))
+                for r in doc["data"]
+            )
+            return SpectralDataSet(fingerprint=doc["fingerprint"], data=data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed spectral data document: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -230,18 +231,11 @@ def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
     roots = np.asarray(roots, float)
     alphas, betas, _ = _per_root(config, roots)
     ddots = np.real(charfn.delta_dot_many(config, roots))
-    data = []
-    for i, n in enumerate(ns):
-        simple = bool(abs(ddots[i]) > _SIMPLE_TOL)
-        if not simple:
-            warnings.warn(
-                f"eigenvalue {roots[i]:.6g} (index {n}) may be non-simple: "
-                f"|dDelta/dlambda| = {abs(ddots[i]):.3e}")
-        data.append(SpectralDatum(
-            n=n, lambda_n=float(roots[i]), alpha_n=float(alphas[i]),
-            beta_n=float(betas[i]), delta_dot_n=float(ddots[i]),
-            seed_gap=float(roots[i] - seeds[i]), simple=simple))
-    return SpectralDataSet(fingerprint=config_fingerprint(config), data=tuple(data))
+    data = tuple(
+        SpectralDatum(n=n, lambda_n=float(lam), alpha_n=float(a), beta_n=float(b),
+                      delta_dot_n=float(dd), seed_gap=float(lam - seed))
+        for n, lam, a, b, dd, seed in zip(ns, roots, alphas, betas, ddots, seeds))
+    return SpectralDataSet(fingerprint=config_fingerprint(config), data=data)
 
 
 # ---------------------------------------------------------------------------

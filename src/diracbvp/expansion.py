@@ -14,9 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridMismatchError, PoleError
+from .errors import GridMismatchError
 from .model import ProblemConfig
-from . import charfn, integrator
+from . import charfn, integrator, weyl
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,13 @@ def _cumulative(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
 
 
 def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Trajectory:
-    """Apply the resolvent kernel plus boundary-data terms to f at lambda."""
+    """Apply the resolvent kernel plus boundary-data terms to f at lambda;
+    psi, Delta and the pole guard are the Weyl function's."""
     lam = complex(lam)
     grid = _check_grid(config, f)
+    _, dvals, psis = weyl._direct_many(config, lam)
+    dval, psi_ys = dvals[0], psis[0]
     phi_ys = integrator.phi(config, lam).ys
-    psi_ys = integrator.psi(config, lam).ys
-    dval = charfn.u1_form(config, lam, psi_ys[0, 0], psi_ys[0, 1])
-    if abs(dval) <= 1e-8:
-        raise PoleError(lam)
 
     g_phi = phi_ys[:, 0] * f.f1 + phi_ys[:, 1] * f.f2
     g_psi = psi_ys[:, 0] * f.f1 + psi_ys[:, 1] * f.f2

@@ -44,7 +44,7 @@ class PotentialBasis:
     def to_potential(self, params) -> PotentialSpec:
         params = np.asarray(params, dtype=float)
         if params.shape != (self.dim,):
-            raise ValueError(
+            raise ConfigError(
                 f"expected {self.dim} parameters, got shape {params.shape}")
         p, q = params[: self.m], params[self.m:]
         if self.kind == "piecewise":
@@ -183,7 +183,7 @@ def reconstruct(problem: InverseProblem, init,
 
     init = np.asarray(init, dtype=float)
     if init.shape != (problem.basis.dim,):
-        raise ValueError(
+        raise ConfigError(
             f"expected {problem.basis.dim} initial parameters, got {init.shape}")
 
     trace: list = []

@@ -214,7 +214,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         pot = doc["potential"]
         potential = PotentialSpec(pot["kind"], tuple(pot["p_params"]), tuple(pot["q_params"]))
         grid_points = int(doc.get("grid_points", 2048))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
     return ProblemConfig(boundary, weight, potential, grid_points)
 

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from diracbvp import cli, eigensolver, inverse
-from diracbvp.errors import MissingRootError
+from diracbvp.errors import ConfigError, MissingRootError
 from diracbvp.model import PotentialSpec, config_to_dict, save_config
 
 from conftest import reference_config, run_python
@@ -117,9 +117,57 @@ def test_config_without_boundary_is_io_error(tmp_path):
     assert _eigs_on_document(tmp_path, doc) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("section, key", [("boundary", "b1"), ("weight", "alpha"),
+                                          (None, "grid_points")])
+def test_config_with_a_non_number_is_io_error(tmp_path, capsys, section, key):
+    doc = config_to_dict(reference_config())
+    (doc[section] if section else doc)[key] = "many"
+    assert _eigs_on_document(tmp_path, doc) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("diracbvp: malformed configuration")
+
+
 def test_module_entry_point_rejects_unknown_command():
     proc = run_python("-m", "diracbvp.cli", "frobnicate")
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+
+
+def _instance(kind):
+    return kind("stub", "{", 0) if kind is json.JSONDecodeError else kind("stub")
+
+
+@pytest.mark.parametrize("kind, code", list(cli._EXIT_CODES.items()),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_exit_code_table_row(kind, code, tmp_path, monkeypatch, capsys):
+    def stub(args):
+        raise _instance(kind)
+
+    monkeypatch.setattr(cli, "cmd_selfcheck", stub)
+    assert cli.main(["selfcheck", "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith("diracbvp: stub")
+
+
+def test_errors_of_no_row_propagate(tmp_path, monkeypatch):
+    def stub(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "cmd_selfcheck", stub)
+    with pytest.raises(RuntimeError):
+        cli.main(["selfcheck", "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--re-steps", "-1"],
+    ["weyl", "--re-steps", "0"],
+    ["weyl", "--im-steps", "0"],
+    ["weyl", "--n-terms", "-1"],
+    ["weyl", "--im-steps", "two"],
+    ["expand", "--n-max", "-1"],
+], ids=" ".join)
+def test_count_flags_reject_bad_values(argv, tmp_path, config_path, capsys):
+    assert cli.main([*argv, "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    assert "error: argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +257,62 @@ def test_invert_improves_on_the_initial_guess(tmp_path):
     trace = read_csv(out / "trace.csv")
     assert trace[0] == ["iteration", "misfit"]
     assert rec["iterations"] <= 150
+
+
+# three hand-made data with increasing lambda: enough for a two-parameter basis
+_DATA_DOC = {"fingerprint": "hand-made", "data": [
+    {"n": n, "lambda": float(n), "alpha": 1.0, "beta": 1.0, "delta_dot": 1.0,
+     "seed_gap": 0.0} for n in (-1, 0, 1)]}
+_INVERSE_DOC = {"basis": {"kind": "piecewise", "m": 1}, "init": [0.0, 0.0]}
+
+
+def _invert_argv(tmp_path, data_doc, inverse_doc):
+    save_config(reference_config(grid_points=256), tmp_path / "config.json")
+    (tmp_path / "data.json").write_text(json.dumps(data_doc))
+    (tmp_path / "inverse.json").write_text(json.dumps(inverse_doc))
+    return ["invert", "--config", str(tmp_path / "config.json"),
+            "--data", str(tmp_path / "data.json"),
+            "--inverse-config", str(tmp_path / "inverse.json"),
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("data_doc, inverse_doc", [
+    (_DATA_DOC, {"init": [0, 0]}),
+    (_DATA_DOC, {"basis": {"kind": "piecewise", "m": 1}, "init": [0]}),
+    (_DATA_DOC, {"basis": {"kind": "piecewise", "m": "one"}, "init": [0, 0]}),
+    (_DATA_DOC, {"basis": {"kind": "piecewise", "m": 1}, "init": 0}),
+    (_DATA_DOC, ["basis"]),
+    ({"fingerprint": "x"}, _INVERSE_DOC),
+    ({"fingerprint": "x", "data": [{"n": 0}]}, _INVERSE_DOC),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "lambda": "low"}]},
+     _INVERSE_DOC),
+    ({"fingerprint": "x", "data": _DATA_DOC["data"][::-1]}, _INVERSE_DOC),
+], ids=["no-basis", "short-init", "bad-m", "scalar-init", "list-document",
+        "no-data", "no-lambda", "bad-lambda", "decreasing"])
+def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
+                                               capsys):
+    assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("diracbvp: ") and err.count("\n") == 1, err
+
+
+def test_malformed_inverse_config_prints_no_traceback(tmp_path):
+    proc = run_python("-m", "diracbvp.cli",
+                      *_invert_argv(tmp_path, _DATA_DOC, {"init": [0, 0]}))
+    assert proc.returncode == cli.EXIT_IO, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "malformed inverse configuration" in proc.stderr
+
+
+def test_shape_errors_of_the_inverse_are_config_errors():
+    basis = inverse.PotentialBasis("piecewise", 1)
+    with pytest.raises(ConfigError):
+        basis.to_potential([0.0])
+    problem = inverse.InverseProblem(
+        target=eigensolver.SpectralDataSet.from_dict(_DATA_DOC), basis=basis,
+        boundary=reference_config().boundary, weight=reference_config().weight)
+    with pytest.raises(ConfigError):
+        inverse.reconstruct(problem, [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
