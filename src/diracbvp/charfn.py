@@ -16,10 +16,6 @@ from .errors import ConfigError, DomainError
 from .model import PI, ProblemConfig, mu
 from . import integrator
 
-#: lambda per propagation in :func:`delta_many`; only psi(0) is kept, so this
-#: bounds the trajectory buffer, and no value depends on it
-_DELTA_BATCH = 512
-
 
 @dataclass(frozen=True)
 class CharEval:
@@ -45,12 +41,9 @@ def u2_form(config: ProblemConfig, lam, y1_pi, y2_pi):
 
 
 def delta_many(config: ProblemConfig, lams) -> np.ndarray:
-    """Batched Delta via the U1 form on psi, propagated at most
-    ``_DELTA_BATCH`` lambda at a time."""
+    """Batched Delta via the U1 form on psi(0)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    psi0 = np.empty((len(lams), 2), dtype=complex)
-    for i in range(0, len(lams), _DELTA_BATCH):
-        psi0[i:i + _DELTA_BATCH] = integrator.psi_many(config, lams[i:i + _DELTA_BATCH])[1][:, 0]
+    psi0 = integrator.psi0_many(config, lams)
     return u1_form(config, lams, psi0[:, 0], psi0[:, 1])
 
 

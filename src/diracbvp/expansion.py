@@ -186,8 +186,9 @@ def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Traje
     psi, Delta and the pole guard are the Weyl function's."""
     lam = complex(lam)
     grid = _check_grid(config, f)
-    _, dvals, psis = weyl._direct_many(config, lam)
-    dval, psi_ys = dvals[0], psis[0]
+    _, psis, _ = integrator.psi_many(config, lam)
+    psi_ys = psis[0]
+    dval = weyl._direct_from_psi0(config, lam, psis[:, 0])[1][0]
     phi_ys = integrator.phi(config, lam).ys
 
     g_phi = phi_ys[:, 0] * f.f1 + phi_ys[:, 1] * f.f2

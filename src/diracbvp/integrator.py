@@ -6,12 +6,16 @@ coefficient matrix at the step's two Gauss points.  The step is exact wherever
 p, q and rho are constant over it, so the one grid of a problem places a node
 at the weight jump and at every breakpoint of a piecewise potential, and no
 lambda needs a finer grid.  A batch of lambda values is swept forward, side by
-side, into one (batch, N+1, 2) result allocated once; a leftward propagation
-is the same sweep over reversed, negated steps into a reversed view of the
-result.  The sweep builds the step matrices of a run of steps in one
-vectorised pass and then takes only the serial 2x2 products step by step; the
-run length bounds its temporaries and changes no value.  The scalar entry
-points run a batch of one through :func:`propagate`.
+side, and the sweep returns the state it ends on.  :func:`propagate_many`
+also writes every node into one (batch, N+1, 2) result allocated once; a
+leftward propagation is the same sweep over reversed, negated steps into a
+reversed view of the result.  :func:`psi0_many` runs the same leftward sweep
+of psi and keeps only psi(0), which is all that Delta and the Weyl function
+read, so its memory does not grow with the grid.  The sweep builds the step
+matrices of a run of steps in one vectorised pass and then takes only the
+serial 2x2 products step by step; the run length bounds its temporaries and
+changes no value.  The scalar entry points run a batch of one through
+:func:`propagate`.
 """
 from __future__ import annotations
 
@@ -146,9 +150,10 @@ def build_grid(config: ProblemConfig) -> _Grid:
 # Magnus sweeps
 # ---------------------------------------------------------------------------
 
-def _magnus_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
-    """March one smooth side from the states in ``out[:, 0]`` and write the
-    state at every further node into ``out`` (batch, side.n + 1, 2).
+def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
+    """March one smooth side from the state (y1, y2) at its first node and
+    return the state at its last node; given ``out`` (batch, side.n + 1, 2),
+    also write the state at every further node into it.
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega with
     w^2 = -(Omega11^2 + Omega12 Omega21); both terms are even in w, so the
@@ -158,7 +163,6 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
     carry the state from step to step are taken one step at a time.
     """
     s = lam_rho
-    y1, y2 = out[:, 0, 0], out[:, 0, 1]
     k = max(1, _BLOCK // max(1, len(s)))
     for j0 in range(0, side.n, k):
         a0, a1, b0, b1, c0, c1 = side.omega[:, j0:j0 + k, None]
@@ -168,8 +172,34 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, out: np.ndarray) -> None:
         m11, m12, m21, m22 = cw + sw * o11, sw * o12, sw * o21, cw - sw * o11
         for j, r11, r12, r21, r22 in zip(range(j0 + 1, j0 + k + 1), m11, m12, m21, m22):
             y1, y2 = r11 * y1 + r12 * y2, r21 * y1 + r22 * y2
-            out[:, j, 0] = y1
-            out[:, j, 1] = y2
+            if out is not None:
+                out[:, j, 0] = y1
+                out[:, j, 1] = y2
+    return y1, y2
+
+
+def _sweep(grid: _Grid, lams: np.ndarray, y1, y2, endpoint: str, out=None):
+    """Sweep both sides from the state (y1, y2) at ``endpoint`` and return the
+    state at the other end; given ``out`` (batch, N+1, 2) in sweep order, also
+    write every node into it.  Leftward is the same sweep over reversed,
+    negated steps."""
+    if endpoint == "left":
+        first, second = grid.left, grid.right
+    else:
+        first, second = grid.right.reversed(), grid.left.reversed()
+    outs = (None, None) if out is None else (out[:, :first.n + 1], out[:, first.n:])
+    # non-finite states are detected and reported by the caller; keep the sweep quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        y1, y2 = _magnus_side(first, lams * first.rho, y1, y2, outs[0])
+        return _magnus_side(second, lams * second.rho, y1, y2, outs[1])
+
+
+def _check_finite(lams: np.ndarray, states: np.ndarray) -> None:
+    """Raise IntegrationOverflowError at the first lambda with a non-finite
+    state; a non-finite state stays non-finite, so the end state suffices."""
+    finite = np.isfinite(states).all(axis=tuple(range(1, states.ndim)))
+    if not finite.all():
+        raise IntegrationOverflowError(complex(lams[np.argmin(finite)]))
 
 
 def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
@@ -186,21 +216,22 @@ def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
     grid = build_grid(config)
 
     ys = np.empty((len(lams), len(grid.xs), 2), dtype=complex)
-    if endpoint == "left":
-        view, first, second = ys, grid.left, grid.right
-    else:
-        # leftward is the same sweep over reversed steps into a reversed view
-        view, first, second = ys[:, ::-1], grid.right.reversed(), grid.left.reversed()
+    # leftward sweeps into a reversed view of the result
+    view = ys if endpoint == "left" else ys[:, ::-1]
     view[:, 0] = inits
-    # non-finite states are detected and reported below; keep the sweep quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        _magnus_side(first, lams * first.rho, view[:, :first.n + 1])
-        _magnus_side(second, lams * second.rho, view[:, first.n:])
-
-    if not np.all(np.isfinite(ys)):
-        bad = np.where(~np.isfinite(ys).all(axis=(1, 2)))[0][0]
-        raise IntegrationOverflowError(complex(lams[bad]))
+    _sweep(grid, lams, view[:, 0, 0], view[:, 0, 1], endpoint, view)
+    _check_finite(lams, ys)
     return grid.xs, ys, grid.ia
+
+
+def psi0_many(config: ProblemConfig, lams) -> np.ndarray:
+    """psi(0) of :func:`psi_many` as a (batch, 2) array, from the same sweep
+    without keeping the trajectory."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    inits = psi_init(config, lams)
+    psi0 = np.column_stack(_sweep(build_grid(config), lams, inits[:, 0], inits[:, 1], "right"))
+    _check_finite(lams, psi0)
+    return psi0
 
 
 def propagate(config: ProblemConfig, lam, init, endpoint: str) -> Trajectory:

@@ -39,20 +39,24 @@ def _nearest_root_estimate(config: ProblemConfig, lam, dval) -> complex:
     return complex(lam)
 
 
-def _direct_many(config: ProblemConfig, lams):
-    """(M, Delta) arrays at ``lams`` and their psi batch from one propagation,
+def _direct_from_psi0(config: ProblemConfig, lams, psi0):
+    """(M, Delta) arrays at ``lams`` from their psi(0) rows (batch, 2),
     M = -(b4 psi1(0) + b3 psi2(0)) / (k1 Delta); raises PoleError at the first
     lambda within the pole guard."""
     b = config.boundary
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    _, psis, _ = integrator.psi_many(config, lams)
-    psi1, psi2 = psis[:, 0, 0], psis[:, 0, 1]
+    psi1, psi2 = psi0[:, 0], psi0[:, 1]
     dvals = charfn.u1_form(config, lams, psi1, psi2)
     poles = np.flatnonzero(np.abs(dvals) <= _POLE_GUARD)
     if poles.size:
         lam, dval = complex(lams[poles[0]]), complex(dvals[poles[0]])
         raise PoleError(lam, nearest=_nearest_root_estimate(config, lam, dval))
-    return -(b.b4 * psi1 + b.b3 * psi2) / (b.k1 * dvals), dvals, psis
+    return -(b.b4 * psi1 + b.b3 * psi2) / (b.k1 * dvals), dvals
+
+
+def _direct_many(config: ProblemConfig, lams):
+    """(M, Delta) arrays at ``lams`` from one psi(0)-only sweep."""
+    return _direct_from_psi0(config, lams, integrator.psi0_many(config, lams))
 
 
 def weyl_direct(config: ProblemConfig, lam) -> complex:
@@ -88,7 +92,8 @@ def _weyl_solution(config: ProblemConfig, lam):
     """(trajectory, identity defect, M) from one psi propagation and one
     left batch of phi and C."""
     lam = complex(lam)
-    ms, dvals, psis = _direct_many(config, lam)
+    _, psis, _ = integrator.psi_many(config, lam)
+    ms, dvals = _direct_from_psi0(config, lam, psis[:, 0])
     m, phi_w = complex(ms[0]), psis[0] / dvals[0]
     xs, ys, ia = integrator.propagate_many(
         config, [lam, lam],

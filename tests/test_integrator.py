@@ -4,7 +4,7 @@ import csv
 import numpy as np
 import pytest
 
-from diracbvp import integrator
+from diracbvp import charfn, integrator, weyl
 from diracbvp.errors import IntegrationOverflowError
 from diracbvp.model import PI, PotentialSpec, mu
 
@@ -83,11 +83,16 @@ def test_refinement_keeps_large_lambda_accurate(r0):
     assert len(traj.xs) > r0.grid_points  # refined grid is denser
 
 
-def test_overflow_raises_typed_error():
+@pytest.mark.parametrize("call, lam", [
+    (lambda cfg: integrator.phi(cfg, 400j), 400j),
+    (lambda cfg: charfn.delta_many(cfg, [1, 2 + 400j, 400j]), 2 + 400j),
+    (lambda cfg: weyl.weyl_direct(cfg, 400j), 400j),
+], ids=["phi", "delta_many", "weyl_direct"])
+def test_overflow_raises_typed_error(call, lam):
     cfg = reference_config(grid_points=128)
     with pytest.raises(IntegrationOverflowError) as exc:
-        integrator.phi(cfg, 400j)
-    assert exc.value.lam == 400j
+        call(cfg)
+    assert exc.value.lam == lam
 
 
 def test_value_at_returns_nearest_node(r0):

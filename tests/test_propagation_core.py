@@ -47,8 +47,17 @@ def test_weyl_sample_propagates_psi_once_and_phi_with_c(r1, propagations):
     assert abs(sample.m_direct - weyl.weyl_direct(r1, 0.5 + 1.0j)) == 0.0
 
 
-def test_residue_check_is_one_psi_batch(r1, propagations):
+def test_residue_check_is_one_psi_batch(monkeypatch, r1, propagations):
     data = eigensolver.find_eigenvalues(r1, -1, 1)
+    batches = []
+    core = integrator.psi0_many
+
+    def counted(config, lams):
+        batches.append(len(lams))
+        return core(config, lams)
+
+    monkeypatch.setattr(integrator, "psi0_many", counted)
     propagations.clear()
     assert weyl.residue_check(r1, data.by_index(1)) < 1e-3
-    assert propagations == ["right"]
+    assert batches == [4]
+    assert propagations == []

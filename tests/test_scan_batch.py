@@ -1,12 +1,11 @@
 """Delta batches.  Each level of the eigensolver's sign scan is one Delta
 batch: the real scan points and the points of its argument-principle contour
-go to ``charfn.delta_many`` together.  ``delta_many`` propagates at most
-``_DELTA_BATCH`` lambda at a time, which bounds its trajectory buffer and
-changes no value."""
+go to ``charfn.delta_many`` together.  ``delta_many`` sweeps the whole batch
+at once and keeps only psi(0); how a batch is split changes no value."""
 import numpy as np
 import pytest
 
-from diracbvp import charfn, eigensolver, integrator
+from diracbvp import charfn, eigensolver
 
 from conftest import reference_config
 
@@ -39,19 +38,10 @@ def test_each_scan_level_is_one_delta_batch(monkeypatch, r0, delta_batches, step
     assert all(np.count_nonzero(b.imag == 0.0) > 2 for b in scans)
 
 
-def test_delta_many_propagates_bounded_batches(monkeypatch):
+def test_delta_many_propagates_bounded_batches():
     config = reference_config(2.0, 256)
     lams = np.linspace(-20.0, 20.0, 1100) + 0.1j
     pieces = np.concatenate([charfn.delta_many(config, lams[i:i + 100])
                              for i in range(0, len(lams), 100)])
-    sizes = []
-    core = integrator.psi_many
-
-    def counted(config, lams):
-        sizes.append(len(lams))
-        return core(config, lams)
-
-    monkeypatch.setattr(integrator, "psi_many", counted)
     assert np.array_equal(charfn.delta_many(config, lams), pieces)
-    assert sizes == [512, 512, 76]
     assert charfn.delta_many(config, []).shape == (0,)
