@@ -23,7 +23,9 @@ from .errors import (ConfigError, MissingRootError, NonProportionalError,
 from .model import PI, ProblemConfig, config_fingerprint, mu
 from . import charfn, expansion, integrator
 
-_DEDUP_TOL = 1e-8
+#: the least gap between consecutive eigenvalues of a SpectralDataSet; a
+#: closer pair is not strictly increasing
+_MIN_EIGENVALUE_GAP = 1e-8
 #: samples per seed spacing pi / mu(pi) of the first sign scan, and the number
 #: of times the scan and its contour may be sampled twice as densely
 _SCAN_STEPS = 8
@@ -56,7 +58,7 @@ class SpectralDataSet:
 
     def __post_init__(self):
         lams = [d.lambda_n for d in self.data]
-        if any(b - a <= _DEDUP_TOL for a, b in zip(lams, lams[1:])):
+        if any(b - a <= _MIN_EIGENVALUE_GAP for a, b in zip(lams, lams[1:])):
             raise ValueError("eigenvalues must be strictly increasing")
 
     def __len__(self):

@@ -88,6 +88,9 @@ class _Grid:
     ia: int
     left: _Side
     right: _Side
+    #: the sides as a leftward sweep meets them, built once with the grid
+    left_reversed: _Side
+    right_reversed: _Side
 
 
 def _cuts(config: ProblemConfig) -> list:
@@ -143,7 +146,8 @@ def build_grid(config: ProblemConfig) -> _Grid:
     left = _make_side(config, 0.0, w.a, nl + nl % 2, 1.0)
     right = _make_side(config, w.a, PI, nr + nr % 2, w.alpha)
     xs = np.concatenate([left.x_nodes, right.x_nodes[1:]])
-    return _Grid(xs=xs, ia=left.n, left=left, right=right)
+    return _Grid(xs=xs, ia=left.n, left=left, right=right,
+                 left_reversed=left.reversed(), right_reversed=right.reversed())
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,9 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega with
     w^2 = -(Omega11^2 + Omega12 Omega21); both terms are even in w, so the
-    branch of the square root does not matter, and sinc has none at w = 0.
+    branch of the square root does not matter.  With w = x + iy, cos(w) and
+    sin(w) come from the real sin and cos of x and sinh and cosh of y, and
+    sin(w) / w is one complex division, taken as 1 where w = 0.
     The step matrices of each run of k steps are built at once as (k, batch)
     entry arrays, with k * batch near ``_BLOCK``; only the 2x2 products that
     carry the state from step to step are taken one step at a time.
@@ -168,8 +174,14 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
         a0, a1, b0, b1, c0, c1 = side.omega[:, j0:j0 + k, None]
         o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
         w = np.sqrt(-(o11 * o11 + o12 * o21))
-        cw, sw = np.cos(w), np.sinc(w / np.pi)
-        m11, m12, m21, m22 = cw + sw * o11, sw * o12, sw * o21, cw - sw * o11
+        x, y = w.real, w.imag
+        sx, cx, shy, chy = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
+        cw, sinw = np.empty_like(w), np.empty_like(w)
+        cw.real, cw.imag = cx * chy, -sx * shy
+        sinw.real, sinw.imag = sx * chy, cx * shy
+        sw = np.divide(sinw, w, out=np.ones_like(w), where=w != 0)
+        so11 = sw * o11
+        m11, m12, m21, m22 = cw + so11, sw * o12, sw * o21, cw - so11
         for j, r11, r12, r21, r22 in zip(range(j0 + 1, j0 + k + 1), m11, m12, m21, m22):
             y1, y2 = r11 * y1 + r12 * y2, r21 * y1 + r22 * y2
             if out is not None:
@@ -186,7 +198,7 @@ def _sweep(grid: _Grid, lams: np.ndarray, y1, y2, endpoint: str, out=None):
     if endpoint == "left":
         first, second = grid.left, grid.right
     else:
-        first, second = grid.right.reversed(), grid.left.reversed()
+        first, second = grid.right_reversed, grid.left_reversed
     outs = (None, None) if out is None else (out[:, :first.n + 1], out[:, first.n:])
     # non-finite states are detected and reported by the caller; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
