@@ -7,8 +7,8 @@ only when an argument-principle count of the zeros in a rectangle around it
 the range goes unseen; a multiple root counts more than once there but opens
 at most one bracket, so every certified root has multiplicity one.  The
 brackets are refined by batched Illinois regula falsi (Dowell and Jarratt
-1971), the one root refiner of the package, which the inverse solver shares;
-all heavy evaluations run as single batched propagations.
+1971), the one root refiner of the package; the inverse matcher shares it and
+the bracket rule.  All heavy evaluations run as single batched propagations.
 """
 from __future__ import annotations
 
@@ -126,6 +126,12 @@ def _real_delta(config: ProblemConfig, lams) -> np.ndarray:
     return np.real(charfn.delta_many(config, np.asarray(lams, dtype=float)))
 
 
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Indices j where ``vals[j]`` and ``vals[j + 1]`` differ in sign; an exact
+    zero counts as positive, so it opens exactly one bracket."""
+    return np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+
+
 def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     """Batched Illinois regula falsi: one root of Delta in each bracket.
 
@@ -211,8 +217,7 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
         d = charfn.delta_many(config, np.concatenate(
             [pts, _contour_points(config, lo, hi, pts[1] - pts[0])]))
         vals = np.real(d[:len(pts)])
-        # an exact zero counts as positive, so it opens exactly one bracket
-        j = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+        j = _sign_changes(vals)
         count, worst = _winding(d[len(pts):])
         if count == len(j) and worst < PI / 2.0:
             break

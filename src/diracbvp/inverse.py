@@ -4,11 +4,10 @@ Boundary coefficients and the weight are assumed known; only the finitely
 parametrized potential pair (p, q) is recovered, by one Levenberg-Marquardt
 least-squares solve on the weighted residual vector, sqrt(w)(lambda - lambda*)
 stacked on sqrt(w)(log alpha - log alpha*), with a finite-difference
-Jacobian.  Eigenvalues of a candidate potential are matched to the target
-ones by a local sign-change scan around each target, refined by the
-eigensolver's batched Illinois regula falsi; a target without a bracket
-contributes a penalty residual instead of raising, so the objective stays
-total.
+Jacobian.  Each target eigenvalue takes the nearest root of the candidate's
+Delta from one sign scan of the targets' windows, refined like the
+eigensolver's; a target with no root within half a spacing contributes a
+penalty residual instead of raising, so the objective stays total.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
-from . import charfn, eigensolver, expansion, integrator
+from . import eigensolver, expansion, integrator
 
 _PENALTY = 1e6
 
@@ -101,35 +100,22 @@ def synthesize_data(config: ProblemConfig, N: int) -> eigensolver.SpectralDataSe
 
 
 # ---------------------------------------------------------------------------
-# Batched root matching around the targets
+# Root matching: one scan of the targets' windows
 # ---------------------------------------------------------------------------
 
 def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
-    """Nearest root of Delta to each target, or NaN where matching fails."""
-    nscan = 9
-    offsets = np.linspace(-half, half, nscan)
-    pts = targets[:, None] + offsets[None, :]
-    vals = np.real(charfn.delta_many(config, pts.ravel())).reshape(pts.shape)
-
-    rows, cols = [], []
-    for i in range(len(targets)):
-        sc = np.where(vals[i, :-1] * vals[i, 1:] <= 0.0)[0]
-        if len(sc) == 0:
-            continue
-        # bracket nearest to the target
-        centers = targets[i] + 0.5 * (offsets[sc] + offsets[sc + 1])
-        rows.append(i)
-        cols.append(sc[np.argmin(np.abs(centers - targets[i]))])
-
-    roots = np.full(len(targets), np.nan)
-    if rows:
-        rows, cols = np.array(rows), np.array(cols)
-        roots[rows] = eigensolver._refine_roots(
-            config, pts[rows, cols], pts[rows, cols + 1],
-            vals[rows, cols], vals[rows, cols + 1])
+    """Nearest root of Delta to each target, or NaN where none lies within
+    ``half``, from one scan of the windows [t - half, t + half] of all targets."""
+    # every target is a sample point: near the truth Illinois stops after a sweep
+    pts = np.unique(targets[:, None] + np.linspace(-half, half, eigensolver._SCAN_STEPS + 1))
+    vals = eigensolver._real_delta(config, pts)
+    j = eigensolver._sign_changes(vals)
+    if len(j) == 0:
+        return np.full(len(targets), np.nan)
+    roots = eigensolver._refine_roots(config, pts[j], pts[j + 1], vals[j], vals[j + 1])
+    nearest = roots[np.argmin(np.abs(targets[:, None] - roots), axis=1)]
     # a match farther than the half-spacing window is a miss, never re-indexed
-    roots[np.abs(roots - targets) > half] = np.nan
-    return roots
+    return np.where(np.abs(nearest - targets) <= half, nearest, np.nan)
 
 
 def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
@@ -178,6 +164,8 @@ def reconstruct(problem: InverseProblem, init,
     many.  ``trace`` holds the best misfit after each evaluation, and
     ``converged`` is the solver's own success, False when the budget ran out.
     """
+    if max_evals < 1:
+        raise ConfigError(f"max_evals = {max_evals} must be >= 1")
     # imported here, so that importing the package does not load scipy
     from scipy.optimize import least_squares
 

@@ -97,8 +97,8 @@ class PotentialSpec:
 
     * ``piecewise`` -- m equal-length constant segments per component,
     * ``cosine``    -- coefficients of cos(k x), k = 0..m-1,
-    * ``callable``  -- arbitrary array-aware callables (not serializable;
-      specs are equal only when they hold the same function objects).
+    * ``callable``  -- arbitrary array-aware callables (not serializable, with
+      one fingerprint; specs are equal only when they hold the same functions).
     """
 
     kind: str
@@ -231,8 +231,12 @@ def load_config(path) -> ProblemConfig:
 
 
 def config_fingerprint(config: ProblemConfig) -> str:
-    """Short stable identifier of a (serializable) configuration."""
+    """Short stable identifier of a configuration: 16 hex digits hashed from its
+    JSON document, or ``"callable"`` for a callable potential, which has none."""
     import hashlib
+
+    if config.potential.kind == "callable":
+        return "callable"
 
     text = json.dumps(config_to_dict(config), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]

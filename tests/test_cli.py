@@ -287,8 +287,9 @@ def _invert_argv(tmp_path, data_doc, inverse_doc):
     ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "lambda": "low"}]},
      _INVERSE_DOC),
     ({"fingerprint": "x", "data": _DATA_DOC["data"][::-1]}, _INVERSE_DOC),
+    (_DATA_DOC, {**_INVERSE_DOC, "budget": 0}),
 ], ids=["no-basis", "short-init", "bad-m", "scalar-init", "list-document",
-        "no-data", "no-lambda", "bad-lambda", "decreasing"])
+        "no-data", "no-lambda", "bad-lambda", "decreasing", "zero-budget"])
 def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
                                                capsys):
     assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO
@@ -313,6 +314,9 @@ def test_shape_errors_of_the_inverse_are_config_errors():
         boundary=reference_config().boundary, weight=reference_config().weight)
     with pytest.raises(ConfigError):
         inverse.reconstruct(problem, [0.0, 0.0, 0.0])
+    for budget in (0, -1):
+        with pytest.raises(ConfigError):
+            inverse.reconstruct(problem, [0.0, 0.0], max_evals=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from diracbvp import inverse
+from diracbvp import charfn, inverse
 from diracbvp.errors import ConfigError
 from diracbvp.model import PI, PotentialSpec
 
@@ -78,6 +78,42 @@ def test_synthesized_data_is_labelled_and_complete(small_truth, small_target):
 
 def test_misfit_vanishes_at_the_truth(small_problem):
     assert inverse.misfit(small_problem, [0.2, -0.1]) < 1e-12
+
+
+def test_match_roots_returns_the_nearest_root_not_the_nearest_bracket(monkeypatch):
+    # brackets (-0.5, -0.25) and (0.25, 0.5) of the target 0 are equally far
+    # from it; the root 0.26 is nearer than -0.49
+    roots = np.array([-0.49, 0.26, 3.0])
+    monkeypatch.setattr(charfn, "delta_many", lambda config, lams: np.prod(
+        np.asarray(lams, float)[:, None] - roots, axis=1).astype(complex))
+    found = inverse._match_roots(reference_config(), np.array([0.0, 3.1]), 1.0)
+    np.testing.assert_allclose(found, [0.26, 3.0], rtol=0.0, atol=1e-14)
+    # no sign change in the window [0.8, 2.8]: a miss, not an error
+    assert np.isnan(inverse._match_roots(reference_config(), np.array([1.8]), 1.0)).all()
+
+
+def _delta_batch_sizes(problem, params):
+    """Batch size of every delta_many call that one residual evaluation makes."""
+    sizes = []
+    delta_many = charfn.delta_many
+
+    def spy(config, lams):
+        sizes.append(np.size(lams))
+        return delta_many(config, lams)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charfn, "delta_many", spy)
+        inverse.residuals(problem, params)
+    return sizes
+
+
+def test_residuals_scan_the_target_windows_once(small_problem):
+    # one scan of 9 targets x 9 samples; every target is a sample point, so at
+    # the truth the refiner stops after one sweep of its 9 brackets
+    assert _delta_batch_sizes(small_problem, [0.2, -0.1]) == [81, 9]
+    sizes = _delta_batch_sizes(small_problem, [0.0, 0.0])
+    assert sizes[0] == 81 and len(sizes) > 2
+    assert all(s == sizes[1] < 81 for s in sizes[1:])
 
 
 def test_misfit_positive_away_from_truth(small_problem):

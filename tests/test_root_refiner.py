@@ -3,8 +3,8 @@
 Every bracket handed to it must come back with a root inside, equal to an
 independent Brent solve of the same characteristic function, and a refiner
 that runs out of sweeps must raise instead of returning an unconverged root.
-The configurations keep |lambda| below the first grid refinement, so Delta
-is a function of lambda alone and scalar and batched evaluations agree.
+Every lambda runs on the configuration's one grid, so Delta is a function of
+lambda alone and scalar and batched evaluations agree.
 """
 import numpy as np
 import pytest
