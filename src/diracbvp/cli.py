@@ -1,8 +1,8 @@
 """Command-line front end: eigs, weyl, expand, resolvent, invert, selfcheck.
 
-Every command writes a manifest echoing its exact inputs before any data
-file.  Data files carry no timestamps and use shortest-round-trip float
-text, so identical inputs produce byte-identical outputs.
+Every command checks its inputs, then writes a manifest echoing them before
+any data file.  Data files carry no timestamps and use shortest-round-trip
+float text, so identical inputs produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -211,14 +211,17 @@ def cmd_invert(args) -> int:
         budget = int(ic.get("budget", 2000))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed inverse configuration: {exc}") from exc
-    out = Path(args.out)
-    _write_manifest(out, "invert", [args.config, args.data, args.inverse_config],
-                    {"basis": ic["basis"], "init": init, "budget": budget,
-                     "config": config_to_dict(config)})
+    basis.to_potential(init)    # raises ConfigError unless init fits the basis
+    if budget < 1:
+        raise ConfigError(f"budget = {budget} must be >= 1")
     problem = inverse.InverseProblem(target=data, basis=basis,
                                      boundary=config.boundary,
                                      weight=config.weight,
                                      grid_points=config.grid_points)
+    out = Path(args.out)
+    _write_manifest(out, "invert", [args.config, args.data, args.inverse_config],
+                    {"basis": ic["basis"], "init": init, "budget": budget,
+                     "config": config_to_dict(config)})
     result = inverse.reconstruct(problem, init, max_evals=budget)
     _write_json(out / "reconstruction.json",
                 {"parameters": list(result.parameters), "misfit": result.misfit,
@@ -262,9 +265,9 @@ def _selfcheck_rows(inject_failure: bool):
 
     for label, cfg in (("R0", r0), ("R1", r1)):
         data = eigensolver.find_eigenvalues(cfg, -2, 2)
-        worst = max(abs(d.alpha_n * d.beta_n - d.delta_dot_n) / abs(d.delta_dot_n)
-                    for d in data)
-        add("alpha_beta_identity", label, worst, 1e-4)
+        E = expansion.eigen_elements(cfg, data.lambdas())
+        gap = np.real(np.diagonal(expansion.gram(cfg, E, E))) / data.alphas() - 1.0
+        add("alpha_gram", label, float(np.max(np.abs(gap))), 1e-4)
         if label == "R0":
             add("residue_at_ground", label,
                 weyl.residue_check(cfg, data.by_index(0)), 1e-3)

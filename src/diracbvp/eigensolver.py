@@ -8,7 +8,8 @@ the range goes unseen; a multiple root counts more than once there but opens
 at most one bracket, so every certified root has multiplicity one.  The
 brackets are refined by batched Illinois regula falsi (Dowell and Jarratt
 1971), the one root refiner of the package; the inverse matcher shares it and
-the bracket rule.  All heavy evaluations run as single batched propagations.
+the bracket rule.  All heavy evaluations run as single batched propagations;
+alpha_n, beta_n and Delta-dot(lambda_n) come from one at lambda_n + ih.
 """
 from __future__ import annotations
 
@@ -235,9 +236,7 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
 
 
 def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
-    roots = np.asarray(roots, float)
-    alphas, betas, _ = _per_root(config, roots)
-    ddots = np.real(charfn.delta_dot_many(config, roots))
+    alphas, betas, ddots, _ = _per_root(config, roots)
     data = tuple(
         SpectralDatum(n=n, lambda_n=float(lam), alpha_n=float(a), beta_n=float(b),
                       delta_dot_n=float(dd), seed_gap=float(lam - seed))
@@ -250,28 +249,27 @@ def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
 # ---------------------------------------------------------------------------
 
 def _per_root(config: ProblemConfig, roots):
-    """alpha_n, beta_n and the proportionality residual of psi against phi.
-
-    One phi and one psi propagation serve all three; alpha_n = ||phi_n||^2 and
-    beta is the global least-squares ratio psi/phi over all samples and
-    components.
-    """
+    """alpha_n, beta_n, Delta-dot(lambda_n) and the proportionality residual
+    |psi(0) - beta_n phi(0)| / |psi(0)| from one psi(0)-only sweep at
+    lambda_n + ih: Delta-dot is the complex step Im Delta(lambda_n + ih) / h,
+    beta_n the least-squares ratio of psi(0) to the exact phi(0), and
+    alpha_n = Delta-dot / beta_n.  psi - beta_n phi solves the equation, so
+    its size at x = 0 measures the proportionality everywhere."""
     roots = np.asarray(roots, float)
-    xs, phis, _ = integrator.phi_many(config, roots)
-    _, psis, _ = integrator.psi_many(config, roots)
-    phis = phis.real
-    psis = psis.real
-    num = np.sum(psis * phis, axis=(1, 2))
-    den = np.sum(phis * phis, axis=(1, 2))
-    betas = num / den
-    resid = (np.linalg.norm(psis - betas[:, None, None] * phis, axis=(1, 2))
-             / np.linalg.norm(psis, axis=(1, 2)))
-    return expansion._squared_norms(config, xs, phis), betas, resid
+    lams = roots + 1j * charfn._COMPLEX_STEP
+    psi0 = integrator.psi0_many(config, lams)
+    ddots = charfn.u1_form(config, lams, psi0[:, 0], psi0[:, 1]).imag / charfn._COMPLEX_STEP
+    psi0 = psi0.real    # psi(lambda) to O(h^2)
+    phi0 = integrator.phi_init(config, roots).real
+    betas = np.sum(psi0 * phi0, axis=1) / np.sum(phi0 * phi0, axis=1)
+    resid = (np.linalg.norm(psi0 - betas[:, None] * phi0, axis=1)
+             / np.linalg.norm(psi0, axis=1))
+    return ddots / betas, betas, ddots, resid
 
 
 def _checked_per_root(config: ProblemConfig, lambda_n: float):
     """(alpha_n, beta_n) at lambda_n, which must be an eigenvalue."""
-    alphas, betas, residuals = _per_root(config, [lambda_n])
+    alphas, betas, _, residuals = _per_root(config, [lambda_n])
     if residuals[0] > _PROP_RESIDUAL_TOL:
         raise NonProportionalError(lambda_n, float(residuals[0]))
     return float(alphas[0]), float(betas[0])

@@ -3,7 +3,8 @@
 Elements of the underlying Hilbert space pair a two-component function on
 [0, pi] with two boundary scalars; the inner product weights the integral by
 rho and the scalars by 1/k1 and 1/k2.  :func:`gram` is its one implementation:
-norming constants, coefficients and orthogonality are all read off it.  One
+coefficients and orthogonality are read off it, and its diagonal on the
+eigen-elements is the independent check of the norming constants.  One
 Simpson rule, :func:`_simpson_halves`, gives its weights and the resolvent's
 cumulative integrals.
 """
@@ -104,25 +105,12 @@ def element_from_functions(config: ProblemConfig, f1: Callable, f2: Callable,
                     f4=complex(d4 if f4 is None else f4))
 
 
-def _solution_elements(config: ProblemConfig, xs, ys) -> HElement:
-    """Stacked elements carried by real solutions ``ys`` (K, N+1, 2) on ``xs``."""
-    f1 = ys[..., 0].real.copy()
-    f2 = ys[..., 1].real.copy()
-    return HElement(xs, f1, f2, *_boundary_scalars(config, f1, f2))
-
-
-def _squared_norms(config: ProblemConfig, xs, ys) -> np.ndarray:
-    """||.||^2 of the elements carried by real solutions ``ys`` (K, N+1, 2) on
-    the config grid ``xs``: the real diagonal of their Gram."""
-    E = _solution_elements(config, xs, ys)
-    return np.real(np.diagonal(gram(config, E, E)))
-
-
 def eigen_elements(config: ProblemConfig, lambdas) -> HElement:
     """Stacked eigen-elements of the left-normalized solutions at ``lambdas``
     from one propagation."""
     xs, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
-    return _solution_elements(config, xs, ys)
+    f1, f2 = ys[..., 0].real.copy(), ys[..., 1].real.copy()
+    return HElement(xs, f1, f2, *_boundary_scalars(config, f1, f2))
 
 
 def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:

@@ -35,6 +35,8 @@ _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 #: sweep's temporaries to a few arrays of this many entries, and no value
 #: depends on it
 _BLOCK = 4096
+#: |w|^2 below which a step sums cos(w), sin(w) / w through z^4 (next term < 1e-21)
+_SERIES_Z = 1e-3
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,11 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
     return the state at its last node; given ``out`` (batch, side.n + 1, 2),
     also write the state at every further node into it.
 
-    Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega with
-    w^2 = -(Omega11^2 + Omega12 Omega21); both terms are even in w, so the
-    branch of the square root does not matter.  With w = x + iy, cos(w) and
-    sin(w) come from the real sin and cos of x and sinh and cosh of y, and
-    sin(w) / w is one complex division, taken as 1 where w = 0.
+    Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega, even
+    in w, with z = w^2 = -(Omega11^2 + Omega12 Omega21).  With w = x + iy,
+    cos(w) and sin(w) come from the real sin and cos of x and sinh and cosh
+    of y, and sin(w) / w is one complex division; where |w|^2 < ``_SERIES_Z``
+    both are series in z, so a step stays holomorphic in lambda at w = 0.
     The step matrices of each run of k steps are built at once as (k, batch)
     entry arrays, with k * batch near ``_BLOCK``; only the 2x2 products that
     carry the state from step to step are taken one step at a time.
@@ -173,13 +175,18 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
     for j0 in range(0, side.n, k):
         a0, a1, b0, b1, c0, c1 = side.omega[:, j0:j0 + k, None]
         o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
-        w = np.sqrt(-(o11 * o11 + o12 * o21))
+        z = -(o11 * o11 + o12 * o21)
+        w = np.sqrt(z)
         x, y = w.real, w.imag
         sx, cx, shy, chy = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
-        cw, sinw = np.empty_like(w), np.empty_like(w)
+        cw, sw = np.empty_like(w), np.empty_like(w)
         cw.real, cw.imag = cx * chy, -sx * shy
-        sinw.real, sinw.imag = sx * chy, cx * shy
-        sw = np.divide(sinw, w, out=np.ones_like(w), where=w != 0)
+        sw.real, sw.imag = sx * chy, cx * shy
+        small = x * x + y * y < _SERIES_Z
+        np.divide(sw, w, out=sw, where=~small)
+        zs = z[small]
+        cw[small] = 1 - zs * (1 / 2 - zs * (1 / 24 - zs * (1 / 720 - zs * (1 / 40320))))
+        sw[small] = 1 - zs * (1 / 6 - zs * (1 / 120 - zs * (1 / 5040 - zs * (1 / 362880))))
         so11 = sw * o11
         m11, m12, m21, m22 = cw + so11, sw * o12, sw * o21, cw - so11
         for j, r11, r12, r21, r22 in zip(range(j0 + 1, j0 + k + 1), m11, m12, m21, m22):

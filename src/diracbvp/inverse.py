@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
-from . import eigensolver, expansion, integrator
+from . import eigensolver, expansion
 
 _PENALTY = 1e6
 
@@ -126,8 +126,9 @@ def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
 
 
 def residuals(problem: InverseProblem, params) -> np.ndarray:
-    """Weighted data residuals of a candidate potential; an unmatched target
-    contributes sqrt(w * penalty) for lambda and 0 for alpha."""
+    """Weighted data residuals of a candidate potential; an unmatched target,
+    or one whose match has no finite positive alpha, contributes
+    sqrt(w * penalty) for lambda and 0 for alpha."""
     config = problem.make_config(params)
     targets = problem.target.lambdas()
     alphas_star = problem.target.alphas()
@@ -136,11 +137,12 @@ def residuals(problem: InverseProblem, params) -> np.ndarray:
 
     roots = _match_roots(config, targets, half)
     ok = ~np.isnan(roots)
-    alphas = alphas_star.copy()
-    if np.any(ok):
-        xs, phis, _ = integrator.phi_many(config, roots[ok])
-        alphas[ok] = expansion._squared_norms(config, xs, phis)
-    r = _data_residuals(w, np.where(ok, roots, targets), targets, alphas, alphas_star)
+    alphas = np.full(len(targets), np.nan)
+    alphas[ok] = eigensolver._per_root(config, roots[ok])[0]
+    # a norming constant is positive; a match without one is no eigenvalue
+    ok = np.isfinite(alphas) & (alphas > 0.0)
+    r = _data_residuals(w, np.where(ok, roots, targets), targets,
+                        np.where(ok, alphas, alphas_star), alphas_star)
     r[:len(targets)][~ok] = np.sqrt(w[~ok] * _PENALTY)
     return r
 

@@ -29,9 +29,9 @@ class WeylSample:
 
 
 def _nearest_root_estimate(config: ProblemConfig, lam, dval) -> complex:
-    # one Newton step from lam; adequate for an error message
+    # one Newton step from lam, Delta-dot taken at Re lam; enough for a message
     try:
-        ddot = charfn.delta_dot(config, lam)
+        ddot = charfn.delta_dot(config, complex(lam).real)
         if ddot != 0:
             return complex(lam - dval / ddot)
     except DiracBVPError:

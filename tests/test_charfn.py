@@ -48,10 +48,26 @@ def test_derivative_at_origin(r0):
 
 
 def test_batched_derivative_matches_scalar(r0):
-    lams = [0.0, 1.3, 2.0 + 0.5j]
+    lams = [0.0, 1.3]
     batched = charfn.delta_dot_many(r0, lams)
     for lam, val in zip(lams, batched):
         assert val == pytest.approx(charfn.delta_dot(r0, lam), rel=1e-8)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.25])
+def test_derivative_through_a_step_with_w_zero(lam):
+    # p^2 + q^2 = (lambda rho)^2 on the left side at 0.5 and on the right at
+    # 0.25, so there a Magnus step has w = 0; the reference is the Cauchy
+    # integral of Delta on a circle of radius 0.5, 64 nodes
+    cfg = reference_config(2.0, 1024, PotentialSpec.constant(0.3, 0.4))
+    ring = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    cauchy = np.mean(charfn.delta_many(cfg, lam + ring) / ring).real
+    assert charfn.delta_dot(cfg, lam) == pytest.approx(cauchy, rel=1e-12)
+
+
+def test_derivative_is_a_real_axis_quantity(r0):
+    with pytest.raises(DomainError):
+        charfn.delta_dot(r0, 2.0 + 0.5j)
 
 
 def test_three_routes_agree(r0, r1):

@@ -295,6 +295,14 @@ def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
     assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("diracbvp: ") and err.count("\n") == 1, err
+    # no manifest of a run that never happened
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_zero_budget_message_names_the_budget_key(tmp_path, capsys):
+    argv = _invert_argv(tmp_path, _DATA_DOC, {**_INVERSE_DOC, "budget": 0})
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "budget" in capsys.readouterr().err
 
 
 def test_malformed_inverse_config_prints_no_traceback(tmp_path):

@@ -6,10 +6,11 @@ computed with an independent root finder at 1e-14 tolerance.
 """
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from diracbvp import eigensolver
 from diracbvp.errors import MissingRootError, NonProportionalError
-from diracbvp.model import PI, PotentialSpec
+from diracbvp.model import PI, PotentialSpec, ProblemConfig, Weight
 from dataclasses import replace
 
 from conftest import reference_config
@@ -46,6 +47,31 @@ def test_wider_range_stays_on_oracle_ladder(r0):
 def test_product_identity_links_all_per_root_quantities(r0_small):
     for d in r0_small:
         assert d.alpha_n * d.beta_n == pytest.approx(d.delta_dot_n, rel=1e-6)
+
+
+def test_norming_constants_match_an_exact_quadrature():
+    # constant p and q: phi is a matrix exponential on each side of the jump,
+    # so Gauss-Legendre nodes give ||phi_n||^2 to rounding; Simpson's rule on
+    # the grid misses alpha_{-3} of this problem by 1.8e-9
+    p, q = -1.0, -1.0
+    config = ProblemConfig(boundary=reference_config().boundary,
+                           weight=Weight(alpha=2.89, a=2.35),
+                           potential=PotentialSpec.constant(p, q), grid_points=512)
+    b, w = config.boundary, config.weight
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    for d in eigensolver.find_eigenvalues(config, -3, 3):
+        lam = d.lambda_n
+        y0 = np.array([lam * b.b3 - b.b1, b.b2 - lam * b.b4])
+        y, norm2 = y0, 0.0
+        for x0, x1, rho in ((0.0, w.a, 1.0), (w.a, PI, w.alpha)):
+            A = np.array([[q, -(p + lam * rho)], [lam * rho - p, -q]])
+            half = (x1 - x0) / 2.0
+            ys = np.array([expm(A * half * (t + 1.0)) @ y for t in nodes])
+            norm2 += rho * half * (weights @ np.sum(ys * ys, axis=1))
+            y = expm(A * (x1 - x0)) @ y
+        norm2 += ((b.b3 * y0[1] + b.b4 * y0[0]) ** 2 / b.k1
+                  + (b.c3 * y[1] + b.c4 * y[0]) ** 2 / b.k2)
+        assert d.alpha_n == pytest.approx(norm2, rel=1e-12), d.n
 
 
 def test_ground_state_norming_constant(r0):

@@ -1,14 +1,16 @@
 """The one weighted Gram behind alpha_n, the expansion and orthogonality.
 
 Random valid problems check that the Gram of the eigen-elements is
-Hermitian, carries the norming constants on its diagonal, agrees entry by
-entry with the scalar inner product and with scipy's Simpson rule applied
-on each side of the jump, and inverts the expansion formula on the span of
-the eigen-elements.  A refined-grid case checks that the
-expansion layer works once |lambda| h exceeds the phase budget.
+Hermitian, carries the norming constants on its diagonal once Simpson's
+error is extrapolated away, agrees entry by entry with the scalar inner
+product and with scipy's Simpson rule applied on each side of the jump, and
+inverts the expansion formula on the span of the eigen-elements.  A case at
+|n| <= 20 checks the expansion layer at large lambda on the one grid.
 """
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from diracbvp import cli, eigensolver, expansion, integrator
@@ -57,6 +59,11 @@ def _simpson_inner(config, Y, Z):
 @settings(max_examples=10, deadline=None)
 @given(config=problems(),
        c=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=7, max_size=7))
+# Simpson's rule alone misses alpha_{-3} of this problem by 1.8e-9
+@example(config=ProblemConfig(
+    boundary=BoundaryParams(0.0, -1.0, 1.0, 0.0, 0.0, -1.0, 1.0, 0.0),
+    weight=Weight(alpha=2.89, a=2.35),
+    potential=PotentialSpec.constant(-1.0, -1.0), grid_points=512), c=[1.0] * 7)
 def test_gram_of_eigen_elements(config, c):
     try:
         data = eigensolver.find_eigenvalues(config, -3, 3)
@@ -68,7 +75,12 @@ def test_gram_of_eigen_elements(config, c):
     G = expansion.gram(config, E, E)
     scale = np.max(np.abs(G))
     assert np.max(np.abs(G - G.conj().T)) <= 1e-12 * scale
-    np.testing.assert_allclose(np.real(np.diagonal(G)), data.alphas(), rtol=1e-9)
+    # the steps are exact, so the diagonal carries only Simpson's O(h^4)
+    # error; halving the steps and extrapolating leaves it far below 1e-9
+    fine = replace(config, grid_points=2 * config.grid_points)
+    E2 = expansion.eigen_elements(fine, data.lambdas())
+    norms = np.real(16.0 * np.diagonal(expansion.gram(fine, E2, E2)) - np.diagonal(G)) / 15.0
+    np.testing.assert_allclose(norms, data.alphas(), rtol=1e-9)
     singles = [_single(E, i) for i in range(len(data))]
     for i, ei in enumerate(singles):
         for j, ej in enumerate(singles):
@@ -85,8 +97,8 @@ def test_gram_of_eigen_elements(config, c):
 
 
 def test_expansion_layer_on_a_refined_grid(tmp_path):
-    # |lambda_20| h is above the phase budget at grid 512, so the
-    # eigen-elements are propagated on a refined grid
+    # |lambda_20| h is near 0.12 at grid 512; the eigen-elements live on the
+    # one grid of the problem like every other element
     config = reference_config(1.0, 512, PotentialSpec.constant(0.3, -0.2))
     data = eigensolver.find_eigenvalues(config, -20, 20)
     f = expansion.element_from_functions(config, np.sin, np.cos)

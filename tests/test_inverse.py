@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from diracbvp import charfn, inverse
+from diracbvp import charfn, eigensolver, inverse
 from diracbvp.errors import ConfigError
-from diracbvp.model import PI, PotentialSpec
+from diracbvp.model import PI, PotentialSpec, mu
 
 from conftest import reference_config
 
@@ -126,6 +126,21 @@ def test_misfit_total_for_extreme_parameters(small_problem):
     value = inverse.misfit(small_problem, [50.0, 50.0])
     assert np.isfinite(value)
     assert value > 1.0
+
+
+def test_a_match_without_a_positive_alpha_is_penalised(small_problem):
+    # at p = q = 50 the target near -2.256 matches a sign change near -2.307
+    # whose alpha = Delta-dot / beta is negative: no eigenvalue of the data's kind
+    params = [50.0, 50.0]
+    config = small_problem.make_config(params)
+    targets = small_problem.target.lambdas()
+    half = PI / (2.0 * mu(PI, small_problem.weight))
+    root = inverse._match_roots(config, targets, half)[1]
+    assert root == pytest.approx(-2.307, abs=1e-3)
+    assert eigensolver._per_root(config, [root])[0][0] < 0.0
+    r = inverse.residuals(small_problem, params)
+    assert r[1] == np.sqrt(small_problem.weights()[1] * inverse._PENALTY)
+    assert r[len(targets) + 1] == 0.0
 
 
 def test_reconstruct_round_trip_from_cold_start(small_problem):

@@ -1,5 +1,6 @@
-"""The resolvent where |lambda| h exceeds the phase budget: phi and psi are
-propagated on a refined grid and sampled back on the config grid."""
+"""The resolvent at a large lambda, |lambda| h near 0.2 at grid 512: it
+converges to the resolvent of a four times finer grid on their shared nodes,
+and the command line runs there."""
 import numpy as np
 import pytest
 
