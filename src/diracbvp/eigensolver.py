@@ -6,9 +6,9 @@ only when an argument-principle count of the zeros in a rectangle around it
 (Delves and Lyness 1967) equals its number of sign changes, so no root inside
 the range goes unseen; a multiple root counts more than once there but opens
 at most one bracket, so every certified root has multiplicity one.  The
-brackets are refined by batched Illinois regula falsi (Dowell and Jarratt
-1971), the one root refiner of the package; the inverse matcher shares it and
-the bracket rule.  All heavy evaluations run as single batched propagations;
+brackets are refined by batched, bracketed Newton steps with the complex-step
+Delta-dot, the one root refiner; the inverse matcher shares it and the
+bracket rule.  All heavy evaluations run as single batched propagations;
 alpha_n, beta_n and Delta-dot(lambda_n) come from one at lambda_n + ih.
 """
 from __future__ import annotations
@@ -32,8 +32,8 @@ _MIN_EIGENVALUE_GAP = 1e-8
 _SCAN_STEPS = 8
 _SCAN_LEVELS = 4
 _PROP_RESIDUAL_TOL = 1e-5
-#: root refinement stops once its step or bracket is this small, relative to
-#: max(1, |lambda|); Illinois regula falsi gets there in well under 10 sweeps
+#: root refinement stops once every Newton step is this small, relative to
+#: max(1, |lambda|); from the regula falsi start that takes 4-5 sweeps
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _MAX_SWEEPS = 50
 
@@ -134,32 +134,29 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
 
 
 def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
-    """Batched Illinois regula falsi: one root of Delta in each bracket.
+    """Batched bracketed Newton: one root of Delta in each bracket [lo, hi].
 
     ``flo`` and ``fhi`` are Delta at the bracket ends and must not share a
-    sign.  Every sweep evaluates the whole batch, converged entries at their
-    roots; Delta at a point does not depend on its batch, so this only keeps
-    the loop free of index bookkeeping.
+    sign; the first iterate c is their regula falsi point.  Each sweep is one
+    Delta batch at c + ih, whose real part is Delta(c) and whose imaginary
+    part over h is Delta-dot(c).  The end with the sign of Delta(c) moves to
+    c, and c moves to the Newton point if it lies in the closed bracket, else
+    to the midpoint.  Every sweep evaluates the whole batch; Delta at a point
+    does not depend on its batch, so the loop needs no index bookkeeping.
     """
-    # b is the latest iterate and a the retained end; fa and fb never share
-    # a sign, so [a, b] always brackets the root
     a, b = np.array(lo, float), np.array(hi, float)
-    fa, fb = np.array(flo, float), np.array(fhi, float)
-    b, fb = np.where(fa == 0.0, a, b), np.where(fa == 0.0, 0.0, fb)
-    done = fb == 0.0
+    neg_a = np.signbit(flo)
+    c = b - fhi * (b - a) / (fhi - flo)
     for _ in range(_MAX_SWEEPS):
-        c = np.where(done, b, b - fb * (b - a) / np.where(done, 1.0, fb - fa))
-        done |= np.abs(c - b) <= _ROOT_RTOL * np.maximum(1.0, np.abs(c))
-        if done.all():
+        d = charfn.delta_many(config, c + 1j * charfn._COMPLEX_STEP)
+        step = d.real / (d.imag / charfn._COMPLEX_STEP)
+        near = np.abs(step) <= _ROOT_RTOL * np.maximum(1.0, np.abs(c))
+        if near.all():
             return c
-        fc = _real_delta(config, c)
-        keep_a = fc * fb > 0.0
-        # Illinois: halve the retained end's value so it cannot stall
-        fa = np.where(keep_a, 0.5 * fa, fb)
-        a = np.where(keep_a, a, b)
-        b, fb = c, fc
-        done |= (fb == 0.0) | (np.abs(b - a) <= _ROOT_RTOL * np.maximum(1.0, np.abs(b)))
-    raise RootRefinementError(_MAX_SWEEPS, b[~done])
+        moves_a = np.signbit(d.real) == neg_a
+        a, b = np.where(moves_a, c, a), np.where(moves_a, b, c)
+        c = np.where((a <= c - step) & (c - step <= b), c - step, 0.5 * (a + b))
+    raise RootRefinementError(_MAX_SWEEPS, c[~near])
 
 
 def _contour_points(config: ProblemConfig, lo: float, hi: float, step: float) -> np.ndarray:
@@ -262,8 +259,7 @@ def _per_root(config: ProblemConfig, roots):
     psi0 = psi0.real    # psi(lambda) to O(h^2)
     phi0 = integrator.phi_init(config, roots).real
     betas = np.sum(psi0 * phi0, axis=1) / np.sum(phi0 * phi0, axis=1)
-    resid = (np.linalg.norm(psi0 - betas[:, None] * phi0, axis=1)
-             / np.linalg.norm(psi0, axis=1))
+    resid = np.hypot(*(psi0 - betas[:, None] * phi0).T) / np.hypot(*psi0.T)
     return ddots / betas, betas, ddots, resid
 
 

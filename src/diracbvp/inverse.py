@@ -6,8 +6,10 @@ least-squares solve on the weighted residual vector, sqrt(w)(lambda - lambda*)
 stacked on sqrt(w)(log alpha - log alpha*), with a finite-difference
 Jacobian.  Each target eigenvalue takes the nearest root of the candidate's
 Delta from one sign scan of the targets' windows, refined like the
-eigensolver's; a target with no root within half a spacing contributes a
-penalty residual instead of raising, so the objective stays total.
+eigensolver's, and each root goes to one target only, the nearest.  A target
+with no root within half a spacing, or whose root went to another target,
+contributes a penalty residual instead of raising, and so does every target
+when Delta overflows in the windows; the objective stays total.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationOverflowError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
 from . import eigensolver, expansion
 
@@ -105,17 +107,23 @@ def synthesize_data(config: ProblemConfig, N: int) -> eigensolver.SpectralDataSe
 
 def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
     """Nearest root of Delta to each target, or NaN where none lies within
-    ``half``, from one scan of the windows [t - half, t + half] of all targets."""
-    # every target is a sample point: near the truth Illinois stops after a sweep
+    ``half`` or the root is nearer another target, from one scan of the
+    windows [t - half, t + half] of all targets."""
+    # every target is a sample point: near the truth the regula falsi start
+    # is already converged, and Newton stops after one sweep
     pts = np.unique(targets[:, None] + np.linspace(-half, half, eigensolver._SCAN_STEPS + 1))
     vals = eigensolver._real_delta(config, pts)
     j = eigensolver._sign_changes(vals)
     if len(j) == 0:
         return np.full(len(targets), np.nan)
     roots = eigensolver._refine_roots(config, pts[j], pts[j + 1], vals[j], vals[j + 1])
-    nearest = roots[np.argmin(np.abs(targets[:, None] - roots), axis=1)]
-    # a match farther than the half-spacing window is a miss, never re-indexed
-    return np.where(np.abs(nearest - targets) <= half, nearest, np.nan)
+    dist = np.abs(targets[:, None] - roots)
+    nearest = np.argmin(dist, axis=1)
+    # a root is one eigenvalue, so only the target nearest to it keeps it; a
+    # match farther than the half-spacing window is a miss, never re-indexed
+    ok = np.argmin(dist, axis=0)[nearest] == np.arange(len(targets))
+    ok &= np.abs(roots[nearest] - targets) <= half
+    return np.where(ok, roots[nearest], np.nan)
 
 
 def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
@@ -128,14 +136,19 @@ def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
 def residuals(problem: InverseProblem, params) -> np.ndarray:
     """Weighted data residuals of a candidate potential; an unmatched target,
     or one whose match has no finite positive alpha, contributes
-    sqrt(w * penalty) for lambda and 0 for alpha."""
+    sqrt(w * penalty) for lambda and 0 for alpha.  Every target is unmatched
+    when the propagation overflows in the targets' windows."""
     config = problem.make_config(params)
     targets = problem.target.lambdas()
     alphas_star = problem.target.alphas()
     w = problem.weights()
     half = PI / (2.0 * mu(PI, problem.weight))
 
-    roots = _match_roots(config, targets, half)
+    try:
+        roots = _match_roots(config, targets, half)
+    except IntegrationOverflowError:
+        # Delta overflows in the targets' windows: no target has a match
+        roots = np.full(len(targets), np.nan)
     ok = ~np.isnan(roots)
     alphas = np.full(len(targets), np.nan)
     alphas[ok] = eigensolver._per_root(config, roots[ok])[0]

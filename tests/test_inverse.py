@@ -85,7 +85,7 @@ def test_match_roots_returns_the_nearest_root_not_the_nearest_bracket(monkeypatc
     # from it; the root 0.26 is nearer than -0.49
     roots = np.array([-0.49, 0.26, 3.0])
     monkeypatch.setattr(charfn, "delta_many", lambda config, lams: np.prod(
-        np.asarray(lams, float)[:, None] - roots, axis=1).astype(complex))
+        np.asarray(lams, complex)[:, None] - roots, axis=1))
     found = inverse._match_roots(reference_config(), np.array([0.0, 3.1]), 1.0)
     np.testing.assert_allclose(found, [0.26, 3.0], rtol=0.0, atol=1e-14)
     # no sign change in the window [0.8, 2.8]: a miss, not an error
@@ -121,11 +121,26 @@ def test_misfit_positive_away_from_truth(small_problem):
 
 
 def test_misfit_total_for_extreme_parameters(small_problem):
-    # far-off candidates may lose root matches entirely; the objective must
-    # stay finite (penalty, not an exception)
-    value = inverse.misfit(small_problem, [50.0, 50.0])
-    assert np.isfinite(value)
-    assert value > 1.0
+    # far-off candidates may lose root matches entirely, and at [200, 200]
+    # the propagation overflows; the objective must stay finite (penalty,
+    # not an exception or a warning)
+    for params in ([50.0, 50.0], [100.0, 100.0], [200.0, 200.0]):
+        value = inverse.misfit(small_problem, params)
+        assert np.isfinite(value)
+        assert value > 1.0
+
+
+def test_a_root_goes_only_to_its_nearest_target(small_problem):
+    # at p = q = 50 the targets near -0.597 and -0.120 both lie nearest the
+    # root near -0.411; only the nearer target -0.597 keeps it
+    config = small_problem.make_config([50.0, 50.0])
+    targets = small_problem.target.lambdas()
+    matched = inverse._match_roots(config, targets, PI / (2.0 * mu(PI, small_problem.weight)))
+    assert targets[3:5] == pytest.approx([-0.597, -0.120], abs=1e-3)
+    assert matched[3] == pytest.approx(-0.4108, abs=1e-4)
+    assert np.isnan(matched[4])
+    r = inverse.residuals(small_problem, [50.0, 50.0])
+    assert r[4] == np.sqrt(small_problem.weights()[4] * inverse._PENALTY)
 
 
 def test_a_match_without_a_positive_alpha_is_penalised(small_problem):

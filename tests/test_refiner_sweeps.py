@@ -1,0 +1,49 @@
+"""Sweep count of the root refiner.
+
+Bracketed Newton with the complex-step Delta-dot converges quadratically
+from the regula falsi point of each bracket: 4 or 5 Delta sweeps reach the
+stopping test on every problem here.  A refiner that keeps secant state, or
+that bisects toward a stale end when a Newton step lands on the bracket end,
+needs more and fails under a cap of 6.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diracbvp import eigensolver
+from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
+                            Weight)
+
+from conftest import reference_config
+
+SWEEPS = 6
+
+
+def _spectrum_config(seed):
+    """Three-segment potential with lambda-dependent boundary forms on both
+    ends, a nonzero seed phase and a weight jump, at grid 256."""
+    p, q = np.random.default_rng([seed, 0]).uniform(-0.5, 0.5, (2, 3))
+    return ProblemConfig(
+        boundary=BoundaryParams(1.0, -0.5, 1.0, 0.3, 0.5, -1.0, 1.0, 0.2),
+        weight=Weight(alpha=2.0, a=PI / 2.0),
+        potential=PotentialSpec.piecewise(p, q), grid_points=256)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spectrum_roots_take_at_most_six_sweeps(monkeypatch, seed):
+    monkeypatch.setattr(eigensolver, "_MAX_SWEEPS", SWEEPS)
+    assert len(eigensolver.find_eigenvalues(_spectrum_config(seed), -30, 30)) == 61
+
+
+potentials = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(-0.25, 0.25), min_size=m, max_size=m),
+    st.lists(st.floats(-0.25, 0.25), min_size=m, max_size=m)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(alpha=st.sampled_from([1.0, 2.0]), pq=potentials)
+def test_small_potentials_take_at_most_six_sweeps(alpha, pq):
+    config = reference_config(alpha, 128, PotentialSpec.piecewise(*pq))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "_MAX_SWEEPS", SWEEPS)
+        assert len(eigensolver.find_eigenvalues(config, -2, 2)) == 5
