@@ -161,8 +161,7 @@ def cmd_expand(args) -> int:
                     {"n_max": args.n_max, "config": config_to_dict(config)})
     data = eigensolver.find_eigenvalues(config, -args.n_max, args.n_max)
     f = expansion.element_from_functions(config, np.sin, lambda x: 0.0 * x)
-    partial = expansion.expand(config, data, f)
-    defect = expansion.parseval_defect(config, data, f)
+    partial, defect = expansion._expand_and_defect(config, data, f)
     err = float(max(np.max(np.abs(f.f1 - partial.f1)),
                     np.max(np.abs(f.f2 - partial.f2))))
     rows = ([_fmt(x), _fmt(a.real), _fmt(b.real), _fmt(c.real), _fmt(d.real)]

@@ -140,9 +140,11 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     sign; the first iterate c is their regula falsi point.  Each sweep is one
     Delta batch at c + ih, whose real part is Delta(c) and whose imaginary
     part over h is Delta-dot(c).  The end with the sign of Delta(c) moves to
-    c, and c moves to the Newton point if it lies in the closed bracket, else
-    to the midpoint.  Every sweep evaluates the whole batch; Delta at a point
-    does not depend on its batch, so the loop needs no index bookkeeping.
+    c, and c moves to the Newton point if it lies in the closed bracket,
+    else to the midpoint; a root whose Newton step is not yet within the
+    tolerance also bisects when its Newton point is the far end of its
+    bracket.  Every sweep evaluates the whole batch; Delta at a point does
+    not depend on its batch, so the loop needs no index bookkeeping.
     """
     a, b = np.array(lo, float), np.array(hi, float)
     neg_a = np.signbit(flo)
@@ -155,7 +157,12 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
             return c
         moves_a = np.signbit(d.real) == neg_a
         a, b = np.where(moves_a, c, a), np.where(moves_a, b, c)
-        c = np.where((a <= c - step) & (c - step <= b), c - step, 0.5 * (a + b))
+        newton = c - step
+        # where Delta's rounding holds the Newton step above the tolerance,
+        # the Newton point can land on the bracket's far end, which would
+        # leave the bracket as it is
+        stuck = ~near & (newton == np.where(moves_a, b, a))
+        c = np.where((a <= newton) & (newton <= b) & ~stuck, newton, 0.5 * (a + b))
     raise RootRefinementError(_MAX_SWEEPS, c[~near])
 
 

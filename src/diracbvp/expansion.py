@@ -133,21 +133,36 @@ def coefficients(config: ProblemConfig, data, f: HElement) -> np.ndarray:
     return _coefficients(config, data, f)[0]
 
 
-def parseval_defect(config: ProblemConfig, data, f: HElement) -> float:
-    """Relative gap between ||f||^2 and the truncated coefficient sum."""
+def _defect(config: ProblemConfig, data, f: HElement, coeffs) -> float:
+    """Parseval defect of f from its coefficients over ``data``."""
     norm2 = inner(config, f, f).real
     if norm2 <= 0.0:
         raise ValueError("zero-norm element: Parseval defect undefined")
-    coeffs = coefficients(config, data, f)
     alphas = np.array([d.alpha_n for d in data])
     return float(abs(norm2 - np.sum(alphas * np.abs(coeffs) ** 2)) / norm2)
 
 
-def expand(config: ProblemConfig, data, f: HElement) -> HElement:
-    """Partial eigenfunction expansion of f over the supplied data."""
-    c, E = _coefficients(config, data, f)
+def _partial_sum(c, E: HElement) -> HElement:
+    """The element sum_n c_n E_n of coefficients over stacked eigen-elements."""
     return HElement(xs=E.xs, f1=c @ E.f1, f2=c @ E.f2,
                     f3=complex(c @ E.f3), f4=complex(c @ E.f4))
+
+
+def parseval_defect(config: ProblemConfig, data, f: HElement) -> float:
+    """Relative gap between ||f||^2 and the truncated coefficient sum."""
+    return _defect(config, data, f, coefficients(config, data, f))
+
+
+def expand(config: ProblemConfig, data, f: HElement) -> HElement:
+    """Partial eigenfunction expansion of f over the supplied data."""
+    return _partial_sum(*_coefficients(config, data, f))
+
+
+def _expand_and_defect(config: ProblemConfig, data, f: HElement):
+    """(:func:`expand`, :func:`parseval_defect`) of f from one set of
+    coefficients, so from one propagation of the eigen-elements."""
+    c, E = _coefficients(config, data, f)
+    return _partial_sum(c, E), _defect(config, data, f, c)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ coefficient matrix at the step's two Gauss points.  The step is exact wherever
 p, q and rho are constant over it, so the one grid of a problem places a node
 at the weight jump and at every breakpoint of a piecewise potential, and no
 lambda needs a finer grid.  A batch of lambda values is swept forward, side by
-side, and the sweep returns the state it ends on.  :func:`propagate_many`
-also writes every node into one (batch, N+1, 2) result allocated once; a
-leftward propagation is the same sweep over reversed, negated steps into a
-reversed view of the result.  :func:`psi0_many` runs the same leftward sweep
-of psi and keeps only psi(0), which is all that Delta and the Weyl function
-read, so its memory does not grow with the grid.  The sweep builds the step
-matrices of a run of steps in one vectorised pass and then takes only the
-serial 2x2 products step by step; the run length bounds its temporaries and
-changes no value.  The scalar entry points run a batch of one through
-:func:`propagate`.
+side, as one (2, batch) state, and the sweep returns the state it ends on.
+:func:`propagate_many` also writes every node into one (N+1, 2, batch) buffer
+allocated once and returns it as its (batch, N+1, 2) transpose, without a
+copy; a leftward propagation is the same sweep over reversed, negated steps
+into a reversed view of the buffer.  :func:`psi0_many` runs the same leftward
+sweep of psi and keeps only psi(0), which is all that Delta and the Weyl
+function read, so its memory does not grow with the grid.  The sweep builds
+the step matrices of a run of steps in one vectorised pass and then takes
+each step's 2x2 product for the whole batch in two ufunc calls; the run
+length bounds its temporaries and changes no value.  The scalar entry points
+run a batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
@@ -156,22 +157,31 @@ def build_grid(config: ProblemConfig) -> _Grid:
 # Magnus sweeps
 # ---------------------------------------------------------------------------
 
-def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
-    """March one smooth side from the state (y1, y2) at its first node and
-    return the state at its last node; given ``out`` (batch, side.n + 1, 2),
-    also write the state at every further node into it.
+def _magnus_side(side: _Side, lam_rho: np.ndarray, state: np.ndarray, out=None) -> None:
+    """March one smooth side, in place, from the (2, batch) ``state`` at its
+    first node to its last node; given ``out`` (side.n + 1, 2, batch), also
+    write the state at every further node into it.
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega, even
     in w, with z = w^2 = -(Omega11^2 + Omega12 Omega21).  With w = x + iy,
     cos(w) and sin(w) come from the real sin and cos of x and sinh and cosh
     of y, and sin(w) / w is one complex division; where |w|^2 < ``_SERIES_Z``
     both are series in z, so a step stays holomorphic in lambda at w = 0.
-    The step matrices of each run of k steps are built at once as (k, batch)
-    entry arrays, with k * batch near ``_BLOCK``; only the 2x2 products that
-    carry the state from step to step are taken one step at a time.
+    The step matrices of each run of k steps are built at once, with
+    k * batch near ``_BLOCK``, and written column by column into one
+    (k, 2, 2, batch) buffer allocated per call: m[j, 0] = (r11, r21) and
+    m[j, 1] = (r12, r22), so step j reads one contiguous (2, 2, batch) block.
+    A step is then two ufunc calls: the products m[j, c, r] * state[c] into
+    a (2, 2, batch) scratch, and the sum of its two columns into ``state``,
+    r11 y1 + r12 y2 and r21 y1 + r22 y2, the same products and sums as one
+    2x2 product per lambda.
     """
     s = lam_rho
-    k = max(1, _BLOCK // max(1, len(s)))
+    k = min(side.n, max(1, _BLOCK // max(1, len(s))))
+    m = np.empty((k, 2, 2, len(s)), dtype=complex)
+    t = np.empty((2, 2, len(s)), dtype=complex)
+    t0, t1 = t
+    column = state[:, None]
     for j0 in range(0, side.n, k):
         a0, a1, b0, b1, c0, c1 = side.omega[:, j0:j0 + k, None]
         o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
@@ -188,35 +198,40 @@ def _magnus_side(side: _Side, lam_rho: np.ndarray, y1, y2, out=None):
         cw[small] = 1 - zs * (1 / 2 - zs * (1 / 24 - zs * (1 / 720 - zs * (1 / 40320))))
         sw[small] = 1 - zs * (1 / 6 - zs * (1 / 120 - zs * (1 / 5040 - zs * (1 / 362880))))
         so11 = sw * o11
-        m11, m12, m21, m22 = cw + so11, sw * o12, sw * o21, cw - so11
-        for j, r11, r12, r21, r22 in zip(range(j0 + 1, j0 + k + 1), m11, m12, m21, m22):
-            y1, y2 = r11 * y1 + r12 * y2, r21 * y1 + r22 * y2
+        mb = m[:len(o11)]
+        np.add(cw, so11, out=mb[:, 0, 0])
+        np.multiply(sw, o21, out=mb[:, 0, 1])
+        np.multiply(sw, o12, out=mb[:, 1, 0])
+        np.subtract(cw, so11, out=mb[:, 1, 1])
+        for j, m_j in enumerate(mb, j0 + 1):
+            np.multiply(m_j, column, out=t)
+            np.add(t0, t1, out=state)
             if out is not None:
-                out[:, j, 0] = y1
-                out[:, j, 1] = y2
-    return y1, y2
+                out[j] = state
 
 
-def _sweep(grid: _Grid, lams: np.ndarray, y1, y2, endpoint: str, out=None):
-    """Sweep both sides from the state (y1, y2) at ``endpoint`` and return the
-    state at the other end; given ``out`` (batch, N+1, 2) in sweep order, also
-    write every node into it.  Leftward is the same sweep over reversed,
-    negated steps."""
+def _sweep(grid: _Grid, lams: np.ndarray, init, endpoint: str, out=None) -> np.ndarray:
+    """Sweep both sides from the (2, batch) state ``init`` at ``endpoint`` and
+    return the (2, batch) state at the other end; given ``out`` (N+1, 2, batch)
+    in sweep order, also write every further node into it.  Leftward is the
+    same sweep over reversed, negated steps."""
     if endpoint == "left":
         first, second = grid.left, grid.right
     else:
         first, second = grid.right_reversed, grid.left_reversed
-    outs = (None, None) if out is None else (out[:, :first.n + 1], out[:, first.n:])
+    outs = (None, None) if out is None else (out[:first.n + 1], out[first.n:])
+    state = np.array(init, dtype=complex, order="C")
     # non-finite states are detected and reported by the caller; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        y1, y2 = _magnus_side(first, lams * first.rho, y1, y2, outs[0])
-        return _magnus_side(second, lams * second.rho, y1, y2, outs[1])
+        _magnus_side(first, lams * first.rho, state, outs[0])
+        _magnus_side(second, lams * second.rho, state, outs[1])
+    return state
 
 
 def _check_finite(lams: np.ndarray, states: np.ndarray) -> None:
     """Raise IntegrationOverflowError at the first lambda with a non-finite
     state; a non-finite state stays non-finite, so the end state suffices."""
-    finite = np.isfinite(states).all(axis=tuple(range(1, states.ndim)))
+    finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise IntegrationOverflowError(complex(lams[np.argmin(finite)]))
 
@@ -227,20 +242,20 @@ def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
     ``endpoint`` selects where ``inits`` is imposed: ``"left"`` (x = 0,
     integrate rightward) or ``"right"`` (x = pi, integrate leftward).
     Returns ``(xs, ys, ia)`` with ``ys`` of shape (batch, N+1, 2) on
-    ``build_grid(config)``, whatever the lambda.
+    ``build_grid(config)``, whatever the lambda; ``ys`` is a transposed view
+    of the one (N+1, 2, batch) buffer the sweep writes.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if endpoint not in ("left", "right"):
         raise ValueError(f"endpoint must be 'left' or 'right', got {endpoint!r}")
     grid = build_grid(config)
 
-    ys = np.empty((len(lams), len(grid.xs), 2), dtype=complex)
-    # leftward sweeps into a reversed view of the result
-    view = ys if endpoint == "left" else ys[:, ::-1]
-    view[:, 0] = inits
-    _sweep(grid, lams, view[:, 0, 0], view[:, 0, 1], endpoint, view)
-    _check_finite(lams, ys)
-    return grid.xs, ys, grid.ia
+    # a leftward sweep fills the buffer from its end
+    buf = np.empty((len(grid.xs), 2, len(lams)), dtype=complex)
+    view = buf if endpoint == "left" else buf[::-1]
+    view[0].T[...] = inits
+    _check_finite(lams, _sweep(grid, lams, view[0], endpoint, view).T)
+    return grid.xs, buf.transpose(2, 0, 1), grid.ia
 
 
 def psi0_many(config: ProblemConfig, lams) -> np.ndarray:
@@ -248,7 +263,7 @@ def psi0_many(config: ProblemConfig, lams) -> np.ndarray:
     without keeping the trajectory."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = psi_init(config, lams)
-    psi0 = np.column_stack(_sweep(build_grid(config), lams, inits[:, 0], inits[:, 1], "right"))
+    psi0 = _sweep(build_grid(config), lams, inits.T, "right").T
     _check_finite(lams, psi0)
     return psi0
 

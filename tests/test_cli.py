@@ -5,7 +5,7 @@ import json
 import pytest
 from dataclasses import replace
 
-from diracbvp import cli, eigensolver, inverse
+from diracbvp import cli, eigensolver, integrator, inverse
 from diracbvp.errors import ConfigError, MissingRootError
 from diracbvp.model import PotentialSpec, config_to_dict, save_config
 
@@ -208,6 +208,20 @@ def test_expand_reports_parseval_defect(tmp_path, config_path):
     rows = read_csv(out / "expand.csv")
     assert rows[0] == ["x", "f1", "f2", "s1", "s2"]
     assert len(rows) > 1000
+
+
+def test_expand_propagates_its_eigen_elements_once(tmp_path, config_path, monkeypatch):
+    calls = []
+    core = integrator.propagate_many
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "propagate_many", counted)
+    assert cli.main(["expand", "--config", str(config_path),
+                     "--n-max", "3", "--out", str(tmp_path / "out")]) == 0
+    assert calls == [7]
 
 
 def test_resolvent_writes_solution_and_residuals(tmp_path):

@@ -63,6 +63,19 @@ def test_batched_propagation_matches_scalar(r0):
         assert solo.index_a == ia
 
 
+@pytest.mark.parametrize("endpoint", ["left", "right"])
+@pytest.mark.parametrize("batch", [0, 1, 21])
+def test_propagate_many_layout(r1, endpoint, batch):
+    lams = np.linspace(-5.0, 5.0, batch) + 0.5j
+    inits = integrator.phi_init(r1, lams)
+    kept = inits.copy()
+    xs, ys, _ = integrator.propagate_many(r1, lams, inits, endpoint)
+    assert ys.shape == (batch, len(xs), 2)
+    assert np.array_equal(ys[:, 0] if endpoint == "left" else ys[:, -1], inits)
+    assert np.array_equal(inits, kept)
+    assert not np.shares_memory(ys, inits)
+
+
 def test_named_solution_initial_values(r0):
     lam = 2.5
     assert integrator.phi(r0, lam).ys[0, 0] == pytest.approx(lam)      # b3 * lam

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from diracbvp import charfn, eigensolver, inverse
 from diracbvp.errors import DiracBVPError, RootRefinementError
-from diracbvp.model import PI, PotentialSpec, mu
+from diracbvp.model import PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu
 
 from conftest import reference_config
 
@@ -77,6 +77,22 @@ def test_inverse_matches_lie_in_their_brackets_and_match_brent(alpha, pq):
     config = _config(alpha, *pq)
     targets = eigensolver.find_eigenvalues(_config(alpha, [0.0], [0.0]), -N, N).lambdas()
     seen = _refined_brackets(lambda: inverse._match_roots(config, targets, _half(config)))
+    _assert_brent_roots(config, seen)
+
+
+def test_roots_converge_where_rounding_holds_the_newton_step_up():
+    # near its root at -1.5602, Delta of this problem carries rounding of
+    # about 1e-13 against a Delta-dot of -19.4: every Newton step stays near
+    # 20 ulps, above the tolerance, and lands on the far end of a 20-ulp
+    # bracket, which a refiner that takes it never shrinks
+    config = ProblemConfig(
+        boundary=BoundaryParams(0.0, 0.7864098301666906, -0.2442264900842761,
+                                -0.9552320425750105, 2.0, -1.685417926986748,
+                                1.030759437236398, 2.0),
+        weight=Weight(alpha=0.622862476129863, a=1.841759729040018),
+        potential=PotentialSpec.piecewise([0.0, 0.0], [-0.8734618758566297, -1.0]),
+        grid_points=512)
+    seen = _refined_brackets(lambda: eigensolver.find_eigenvalues(config, -3, 3))
     _assert_brent_roots(config, seen)
 
 
