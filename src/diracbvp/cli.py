@@ -10,6 +10,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,17 @@ def _count(minimum: int):
             raise argparse.ArgumentTypeError(f"expected a count >= {minimum}, got {value}")
         return value
     return count
+
+
+def _finite(text: str) -> float:
+    """argparse ``type=`` of a float flag that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(v) -> str:
@@ -161,7 +173,8 @@ def cmd_expand(args) -> int:
                     {"n_max": args.n_max, "config": config_to_dict(config)})
     data = eigensolver.find_eigenvalues(config, -args.n_max, args.n_max)
     f = expansion.element_from_functions(config, np.sin, lambda x: 0.0 * x)
-    partial, defect = expansion._expand_and_defect(config, data, f)
+    partial = expansion.expand(config, data, f)
+    defect = expansion.parseval_defect(config, data, f)
     err = float(max(np.max(np.abs(f.f1 - partial.f1)),
                     np.max(np.abs(f.f2 - partial.f2))))
     rows = ([_fmt(x), _fmt(a.real), _fmt(b.real), _fmt(c.real), _fmt(d.real)]
@@ -326,13 +339,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("weyl", help="sample the Weyl function on a complex grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--re-min", type=float, default=0.0)
-    p.add_argument("--re-max", type=float, default=0.0)
+    p.add_argument("--re-min", type=_finite, default=0.0)
+    p.add_argument("--re-max", type=_finite, default=0.0)
     p.add_argument("--re-steps", type=_count(1), default=1)
-    p.add_argument("--im-min", type=float, default=1.0)
-    p.add_argument("--im-max", type=float, default=1.0)
+    p.add_argument("--im-min", type=_finite, default=1.0)
+    p.add_argument("--im-max", type=_finite, default=1.0)
     p.add_argument("--im-steps", type=_count(1), default=1)
-    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--margin", type=_finite, default=0.1)
     p.add_argument("--n-terms", type=_count(0), default=15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_weyl)
@@ -345,8 +358,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resolvent", help="apply the resolvent to a test element")
     p.add_argument("--config", required=True)
-    p.add_argument("--re-lambda", type=float, default=0.0)
-    p.add_argument("--im-lambda", type=float, default=1.0)
+    p.add_argument("--re-lambda", type=_finite, default=0.0)
+    p.add_argument("--im-lambda", type=_finite, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_resolvent)
 

@@ -7,6 +7,16 @@ coefficients and orthogonality are read off it, and its diagonal on the
 eigen-elements is the independent check of the norming constants.  One
 Simpson rule, :func:`_simpson_halves`, gives its weights and the resolvent's
 cumulative integrals.
+
+Results that depend only on the config and lambda live in the memo of the
+config's grid, read through :func:`_memo`: :func:`eigen_elements` keyed on
+the float64 bytes of its lambda array (order and batch included), and
+:func:`resolvent_apply`'s psi, phi and Delta keyed on the bytes of its
+complex lambda.  So coefficients, Parseval defect and expansion over one
+data set share one propagation, as do resolvents of many elements at one
+lambda.  The memo holds at most ``_MEMO`` entries, least recently used
+dropped first; its arrays are read-only, and it goes with the grid when
+``integrator.build_grid.cache_clear()`` is called.
 """
 from __future__ import annotations
 
@@ -18,6 +28,11 @@ import numpy as np
 from .errors import GridMismatchError
 from .model import ProblemConfig
 from . import charfn, integrator, weyl
+
+#: entries of a grid's memo; expanding two elements over five nested data
+#: sets and applying the resolvent at two lambda keeps 7 live, and no value
+#: depends on it
+_MEMO = 8
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,27 @@ def _simpson_weights(x) -> np.ndarray:
     w[1::2] += pair[1]
     w[2::2] += pair[2]
     return w
+
+
+def _memo(config: ProblemConfig, key, build):
+    """The tuple ``build()`` returns, built once per ``key`` on the config's
+    grid and kept in its memo.  Every array of it is made read-only, so no
+    caller can change an entry; a build that raises stores nothing, and the
+    least recently used entry goes once there are more than ``_MEMO``."""
+    memo = integrator.build_grid(config).memo
+    try:
+        memo.move_to_end(key)
+        return memo[key]
+    except KeyError:        # not built yet
+        pass
+    value = build()
+    for v in value:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    memo[key] = value
+    if len(memo) > _MEMO:
+        memo.popitem(last=False)
+    return value
 
 
 def _boundary_scalars(config: ProblemConfig, f1, f2):
@@ -107,10 +143,17 @@ def element_from_functions(config: ProblemConfig, f1: Callable, f2: Callable,
 
 def eigen_elements(config: ProblemConfig, lambdas) -> HElement:
     """Stacked eigen-elements of the left-normalized solutions at ``lambdas``
-    from one propagation."""
-    xs, ys, _ = integrator.phi_many(config, np.asarray(lambdas, dtype=float))
-    f1, f2 = ys[..., 0].real.copy(), ys[..., 1].real.copy()
-    return HElement(xs, f1, f2, *_boundary_scalars(config, f1, f2))
+    from one propagation, kept in the grid memo under the bytes of the
+    lambda array."""
+    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
+
+    def build():
+        _, ys, _ = integrator.phi_many(config, lams)
+        f1, f2 = ys[..., 0].real.copy(), ys[..., 1].real.copy()
+        return (f1, f2, *_boundary_scalars(config, f1, f2))
+
+    f1, f2, f3, f4 = _memo(config, ("eigen_elements", lams.tobytes()), build)
+    return HElement(integrator.build_grid(config).xs, f1, f2, f3, f4)
 
 
 def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:
@@ -119,50 +162,31 @@ def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:
     return HElement(E.xs, E.f1[0], E.f2[0], E.f3[0], E.f4[0])
 
 
-def _coefficients(config: ProblemConfig, data, f: HElement):
-    """Expansion coefficients of f and the stacked eigen-elements they use."""
+def coefficients(config: ProblemConfig, data, f: HElement) -> np.ndarray:
+    """Coefficients <f, phi_n> / alpha_n: one Gram row over the data's alpha."""
     if len(data) == 0:
         raise ValueError("empty spectral data set")
     E = eigen_elements(config, [d.lambda_n for d in data])
     alphas = np.array([d.alpha_n for d in data])
-    return np.asarray(gram(config, f, E)[0] / alphas, dtype=complex), E
-
-
-def coefficients(config: ProblemConfig, data, f: HElement) -> np.ndarray:
-    """Coefficients <f, phi_n> / alpha_n: one Gram row over the data's alpha."""
-    return _coefficients(config, data, f)[0]
-
-
-def _defect(config: ProblemConfig, data, f: HElement, coeffs) -> float:
-    """Parseval defect of f from its coefficients over ``data``."""
-    norm2 = inner(config, f, f).real
-    if norm2 <= 0.0:
-        raise ValueError("zero-norm element: Parseval defect undefined")
-    alphas = np.array([d.alpha_n for d in data])
-    return float(abs(norm2 - np.sum(alphas * np.abs(coeffs) ** 2)) / norm2)
-
-
-def _partial_sum(c, E: HElement) -> HElement:
-    """The element sum_n c_n E_n of coefficients over stacked eigen-elements."""
-    return HElement(xs=E.xs, f1=c @ E.f1, f2=c @ E.f2,
-                    f3=complex(c @ E.f3), f4=complex(c @ E.f4))
+    return np.asarray(gram(config, f, E)[0] / alphas, dtype=complex)
 
 
 def parseval_defect(config: ProblemConfig, data, f: HElement) -> float:
     """Relative gap between ||f||^2 and the truncated coefficient sum."""
-    return _defect(config, data, f, coefficients(config, data, f))
+    c = coefficients(config, data, f)
+    norm2 = inner(config, f, f).real
+    if norm2 <= 0.0:
+        raise ValueError("zero-norm element: Parseval defect undefined")
+    alphas = np.array([d.alpha_n for d in data])
+    return float(abs(norm2 - np.sum(alphas * np.abs(c) ** 2)) / norm2)
 
 
 def expand(config: ProblemConfig, data, f: HElement) -> HElement:
-    """Partial eigenfunction expansion of f over the supplied data."""
-    return _partial_sum(*_coefficients(config, data, f))
-
-
-def _expand_and_defect(config: ProblemConfig, data, f: HElement):
-    """(:func:`expand`, :func:`parseval_defect`) of f from one set of
-    coefficients, so from one propagation of the eigen-elements."""
-    c, E = _coefficients(config, data, f)
-    return _partial_sum(c, E), _defect(config, data, f, c)
+    """Partial eigenfunction expansion sum_n c_n E_n of f over the supplied data."""
+    c = coefficients(config, data, f)
+    E = eigen_elements(config, [d.lambda_n for d in data])
+    return HElement(xs=E.xs, f1=c @ E.f1, f2=c @ E.f2,
+                    f3=complex(c @ E.f3), f4=complex(c @ E.f4))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +210,18 @@ def _cumulative(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
 
 def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Trajectory:
     """Apply the resolvent kernel plus boundary-data terms to f at lambda;
-    psi, Delta and the pole guard are the Weyl function's."""
+    psi, Delta and the pole guard are the Weyl function's.  psi, phi and
+    Delta at lambda are kept in the grid memo under the bytes of lambda."""
     lam = complex(lam)
     grid = _check_grid(config, f)
-    _, psis, _ = integrator.psi_many(config, lam)
-    psi_ys = psis[0]
-    dval = weyl._direct_from_psi0(config, lam, psis[:, 0])[1][0]
-    phi_ys = integrator.phi(config, lam).ys
+
+    def build():
+        _, psis, _ = integrator.psi_many(config, lam)
+        dval = weyl._direct_from_psi0(config, lam, psis[:, 0])[1][0]
+        return psis[0], integrator.phi(config, lam).ys, dval
+
+    key = ("resolvent", np.complex128(lam).tobytes())
+    psi_ys, phi_ys, dval = _memo(config, key, build)
 
     g_phi = phi_ys[:, 0] * f.f1 + phi_ys[:, 1] * f.f2
     g_psi = psi_ys[:, 0] * f.f1 + psi_ys[:, 1] * f.f2

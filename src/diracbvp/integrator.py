@@ -21,7 +21,8 @@ run a batch of one through :func:`propagate`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,6 +95,10 @@ class _Grid:
     #: the sides as a leftward sweep meets them, built once with the grid
     left_reversed: _Side
     right_reversed: _Side
+    #: read-only results that depend only on the config and lambda, least
+    #: recently used first; filled and bounded by ``expansion._memo``, and
+    #: dropped with the grid by ``build_grid.cache_clear()``
+    memo: OrderedDict = field(default_factory=OrderedDict)
 
 
 def _cuts(config: ProblemConfig) -> list:

@@ -170,6 +170,34 @@ def test_count_flags_reject_bad_values(argv, tmp_path, config_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolvent", "--re-lambda", "inf"],
+    ["resolvent", "--re-lambda", "nan"],
+    ["resolvent", "--im-lambda=-inf"],
+    ["resolvent", "--im-lambda", "one"],
+    ["weyl", "--re-min", "nan"],
+    ["weyl", "--re-max", "inf"],
+    ["weyl", "--im-min=-inf"],
+    ["weyl", "--im-max", "nan"],
+    ["weyl", "--margin", "nan"],
+    ["weyl", "--margin", "inf"],
+], ids=" ".join)
+def test_float_flags_reject_non_finite_values(argv, tmp_path, config_path, capsys):
+    assert cli.main([*argv, "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_infinite_lambda_exits_before_any_runtime_warning(tmp_path, config_path):
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "diracbvp.cli",
+                      "resolvent", "--config", str(config_path),
+                      "--re-lambda", "inf", "--out", str(tmp_path / "o"))
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # weyl
 # ---------------------------------------------------------------------------
