@@ -9,7 +9,8 @@ at most one bracket, so every certified root has multiplicity one.  The
 brackets are refined by batched, bracketed Newton steps with the complex-step
 Delta-dot, the one root refiner; the inverse matcher shares it and the
 bracket rule.  All heavy evaluations run as single batched propagations;
-alpha_n, beta_n and Delta-dot(lambda_n) come from one at lambda_n + ih.
+alpha_n, beta_n and Delta-dot(lambda_n) come from the refiner's last one,
+at lambda_n + ih, so a root costs no propagation beyond its Newton sweeps.
 """
 from __future__ import annotations
 
@@ -135,26 +136,31 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
 
 def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     """Batched bracketed Newton: one root of Delta in each bracket [lo, hi].
+    Returns a (5, k) array: the k roots, then the rows of :func:`_from_sweep`
+    at them.
 
     ``flo`` and ``fhi`` are Delta at the bracket ends and must not share a
     sign; the first iterate c is their regula falsi point.  Each sweep is one
-    Delta batch at c + ih, whose real part is Delta(c) and whose imaginary
-    part over h is Delta-dot(c).  The end with the sign of Delta(c) moves to
+    psi(0) sweep at c + ih, whose Delta has real part Delta(c) and imaginary
+    part over h Delta-dot(c).  The end with the sign of Delta(c) moves to
     c, and c moves to the Newton point if it lies in the closed bracket,
     else to the midpoint; a root whose Newton step is not yet within the
     tolerance also bisects when its Newton point is the far end of its
     bracket.  Every sweep evaluates the whole batch; Delta at a point does
-    not depend on its batch, so the loop needs no index bookkeeping.
+    not depend on its batch, so the loop needs no index bookkeeping, and
+    the last sweep's rows give the per-root quantities.
     """
     a, b = np.array(lo, float), np.array(hi, float)
     neg_a = np.signbit(flo)
     c = b - fhi * (b - a) / (fhi - flo)
     for _ in range(_MAX_SWEEPS):
-        d = charfn.delta_many(config, c + 1j * charfn._COMPLEX_STEP)
+        psi0, d = _sweep(config, c)
         step = d.real / (d.imag / charfn._COMPLEX_STEP)
         near = np.abs(step) <= _ROOT_RTOL * np.maximum(1.0, np.abs(c))
         if near.all():
-            return c
+            # beta_n, and so alpha_n, is taken at roots only: at another
+            # iterate beta can vanish
+            return np.vstack([c, _from_sweep(config, c, psi0, d)])
         moves_a = np.signbit(d.real) == neg_a
         a, b = np.where(moves_a, c, a), np.where(moves_a, b, c)
         newton = c - step
@@ -229,18 +235,21 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
     else:
         raise MissingRootError(ns)
 
-    roots = _refine_roots(config, pts[j], pts[j + 1], vals[j], vals[j + 1])
+    found = _refine_roots(config, pts[j], pts[j + 1], vals[j], vals[j + 1])
+    roots = found[0]
     if len(roots) >= len(ns):
         off = _best_run(seeds, roots)
-        return _complete(config, ns, roots[off:off + len(ns)], seeds)
+        return _complete(config, ns, found[:, off:off + len(ns)], seeds)
     off = _best_run(roots, seeds)
     kept = slice(off, off + len(roots))
-    partial = _complete(config, ns[kept], roots, seeds[kept]) if len(roots) else None
+    partial = _complete(config, ns[kept], found, seeds[kept]) if len(roots) else None
     raise MissingRootError(ns[:off] + ns[off + len(roots):], partial=partial)
 
 
-def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
-    alphas, betas, ddots, _ = _per_root(config, roots)
+def _complete(config: ProblemConfig, ns, found, seeds) -> SpectralDataSet:
+    """The data set of the roots and per-root quantities :func:`_refine_roots`
+    found, indexed by ``ns``."""
+    roots, alphas, betas, ddots, _ = found
     data = tuple(
         SpectralDatum(n=n, lambda_n=float(lam), alpha_n=float(a), beta_n=float(b),
                       delta_dot_n=float(dd), seed_gap=float(lam - seed))
@@ -252,22 +261,33 @@ def _complete(config: ProblemConfig, ns, roots, seeds) -> SpectralDataSet:
 # Per-root quantities
 # ---------------------------------------------------------------------------
 
-def _per_root(config: ProblemConfig, roots):
-    """alpha_n, beta_n, Delta-dot(lambda_n) and the proportionality residual
-    |psi(0) - beta_n phi(0)| / |psi(0)| from one psi(0)-only sweep at
-    lambda_n + ih: Delta-dot is the complex step Im Delta(lambda_n + ih) / h,
-    beta_n the least-squares ratio of psi(0) to the exact phi(0), and
-    alpha_n = Delta-dot / beta_n.  psi - beta_n phi solves the equation, so
-    its size at x = 0 measures the proportionality everywhere."""
-    roots = np.asarray(roots, float)
-    lams = roots + 1j * charfn._COMPLEX_STEP
+def _sweep(config: ProblemConfig, c):
+    """psi(0) and Delta at c + ih for real c, from one psi(0)-only sweep."""
+    lams = np.asarray(c, float) + 1j * charfn._COMPLEX_STEP
     psi0 = integrator.psi0_many(config, lams)
-    ddots = charfn.u1_form(config, lams, psi0[:, 0], psi0[:, 1]).imag / charfn._COMPLEX_STEP
+    return psi0, charfn.u1_form(config, lams, psi0[:, 0], psi0[:, 1])
+
+
+def _from_sweep(config: ProblemConfig, roots, psi0, d) -> np.ndarray:
+    """alpha_n, beta_n, Delta-dot(lambda_n) and the proportionality residual
+    |psi(0) - beta_n phi(0)| / |psi(0)| from psi(0) and Delta at the roots
+    lambda_n + ih, as the rows of one array: Delta-dot is the complex step
+    Im Delta(lambda_n + ih) / h, beta_n the least-squares ratio of psi(0) to
+    the exact phi(0), and alpha_n = Delta-dot / beta_n.  psi - beta_n phi
+    solves the equation, so its size at x = 0 measures the proportionality
+    everywhere."""
+    ddots = d.imag / charfn._COMPLEX_STEP
     psi0 = psi0.real    # psi(lambda) to O(h^2)
     phi0 = integrator.phi_init(config, roots).real
     betas = np.sum(psi0 * phi0, axis=1) / np.sum(phi0 * phi0, axis=1)
     resid = np.hypot(*(psi0 - betas[:, None] * phi0).T) / np.hypot(*psi0.T)
-    return ddots / betas, betas, ddots, resid
+    return np.array([ddots / betas, betas, ddots, resid])
+
+
+def _per_root(config: ProblemConfig, roots) -> np.ndarray:
+    """The rows of :func:`_from_sweep` at ``roots``, from their own sweep."""
+    roots = np.asarray(roots, float)
+    return _from_sweep(config, roots, *_sweep(config, roots))
 
 
 def _checked_per_root(config: ProblemConfig, lambda_n: float):

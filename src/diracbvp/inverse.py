@@ -69,6 +69,12 @@ class InverseProblem:
     datum_weights: Optional[tuple] = None
 
     def __post_init__(self):
+        lams, alphas = self.target.lambdas(), self.target.alphas()
+        # the residuals take log alpha*, and a NaN target matches no root
+        if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(alphas))
+                and np.all(alphas > 0.0)):
+            raise ConfigError("target eigenvalues and norming constants must be "
+                              "finite, and norming constants positive")
         if self.basis.dim > 2 * len(self.target):
             raise ConfigError(
                 f"{self.basis.dim} parameters exceed the "
@@ -106,24 +112,25 @@ def synthesize_data(config: ProblemConfig, N: int) -> eigensolver.SpectralDataSe
 # ---------------------------------------------------------------------------
 
 def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
-    """Nearest root of Delta to each target, or NaN where none lies within
-    ``half`` or the root is nearer another target, from one scan of the
-    windows [t - half, t + half] of all targets."""
+    """Nearest root of Delta to each target and its alpha_n, or NaN for both
+    where no root lies within ``half`` or the root is nearer another target,
+    from one scan of the windows [t - half, t + half] of all targets."""
     # every target is a sample point: near the truth the regula falsi start
     # is already converged, and Newton stops after one sweep
     pts = np.unique(targets[:, None] + np.linspace(-half, half, eigensolver._SCAN_STEPS + 1))
     vals = eigensolver._real_delta(config, pts)
     j = eigensolver._sign_changes(vals)
     if len(j) == 0:
-        return np.full(len(targets), np.nan)
-    roots = eigensolver._refine_roots(config, pts[j], pts[j + 1], vals[j], vals[j + 1])
+        return np.full((2, len(targets)), np.nan)
+    roots, alphas = eigensolver._refine_roots(config, pts[j], pts[j + 1],
+                                              vals[j], vals[j + 1])[:2]
     dist = np.abs(targets[:, None] - roots)
     nearest = np.argmin(dist, axis=1)
     # a root is one eigenvalue, so only the target nearest to it keeps it; a
     # match farther than the half-spacing window is a miss, never re-indexed
     ok = np.argmin(dist, axis=0)[nearest] == np.arange(len(targets))
     ok &= np.abs(roots[nearest] - targets) <= half
-    return np.where(ok, roots[nearest], np.nan)
+    return np.where(ok, [roots[nearest], alphas[nearest]], np.nan)
 
 
 def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
@@ -145,13 +152,10 @@ def residuals(problem: InverseProblem, params) -> np.ndarray:
     half = PI / (2.0 * mu(PI, problem.weight))
 
     try:
-        roots = _match_roots(config, targets, half)
+        roots, alphas = _match_roots(config, targets, half)
     except IntegrationOverflowError:
         # Delta overflows in the targets' windows: no target has a match
-        roots = np.full(len(targets), np.nan)
-    ok = ~np.isnan(roots)
-    alphas = np.full(len(targets), np.nan)
-    alphas[ok] = eigensolver._per_root(config, roots[ok])[0]
+        roots = alphas = np.full(len(targets), np.nan)
     # a norming constant is positive; a match without one is no eigenvalue
     ok = np.isfinite(alphas) & (alphas > 0.0)
     r = _data_residuals(w, np.where(ok, roots, targets), targets,

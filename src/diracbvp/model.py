@@ -47,6 +47,9 @@ class BoundaryParams:
     c4: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"boundary coefficient {name} = {value} must be finite")
         if self.k1 <= 0.0:
             raise ConfigError(f"k1 = b1*b4 - b2*b3 = {self.k1} must be > 0")
         if self.k2 <= 0.0:
@@ -69,8 +72,8 @@ class Weight:
     a: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise ConfigError(f"alpha = {self.alpha} must be positive")
+        if not (0.0 < self.alpha < math.inf):
+            raise ConfigError(f"alpha = {self.alpha} must be positive and finite")
         if not (0.0 < self.a < PI):
             raise ConfigError(f"jump position a = {self.a} must lie in (0, pi)")
 
@@ -118,6 +121,8 @@ class PotentialSpec:
                 raise ConfigError("parametrized potential needs nonempty parameters")
         object.__setattr__(self, "p_params", tuple(float(v) for v in self.p_params))
         object.__setattr__(self, "q_params", tuple(float(v) for v in self.q_params))
+        if not all(map(math.isfinite, self.p_params + self.q_params)):
+            raise ConfigError("potential parameters must be finite")
 
     # -- constructors -------------------------------------------------
     @staticmethod

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file contracts, determinism."""
 import csv
 import json
+import math
 
 import pytest
 from dataclasses import replace
@@ -117,13 +118,20 @@ def test_config_without_boundary_is_io_error(tmp_path):
     assert _eigs_on_document(tmp_path, doc) == cli.EXIT_IO
 
 
-@pytest.mark.parametrize("section, key", [("boundary", "b1"), ("weight", "alpha"),
-                                          (None, "grid_points")])
-def test_config_with_a_non_number_is_io_error(tmp_path, capsys, section, key):
+@pytest.mark.parametrize("section, key, value", [
+    ("boundary", "b1", "many"), ("weight", "alpha", "many"), (None, "grid_points", "many"),
+    # json reads NaN and Infinity as floats
+    ("boundary", "b1", math.nan), ("weight", "alpha", math.inf),
+    ("potential", "p_params", [math.nan]),
+], ids=["boundary-b1", "weight-alpha", "None-grid_points",
+        "boundary-b1-NaN", "weight-alpha-Infinity", "potential-p_params-NaN"])
+def test_config_with_a_non_number_is_io_error(tmp_path, capsys, section, key, value):
     doc = config_to_dict(reference_config())
-    (doc[section] if section else doc)[key] = "many"
+    (doc[section] if section else doc)[key] = value
     assert _eigs_on_document(tmp_path, doc) == cli.EXIT_IO
-    assert capsys.readouterr().err.startswith("diracbvp: malformed configuration")
+    err = capsys.readouterr().err
+    assert err.startswith("diracbvp: malformed configuration") and err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_module_entry_point_rejects_unknown_command():
@@ -330,8 +338,15 @@ def _invert_argv(tmp_path, data_doc, inverse_doc):
      _INVERSE_DOC),
     ({"fingerprint": "x", "data": _DATA_DOC["data"][::-1]}, _INVERSE_DOC),
     (_DATA_DOC, {**_INVERSE_DOC, "budget": 0}),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "alpha": -1.0}]},
+     _INVERSE_DOC),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "alpha": math.nan}]},
+     _INVERSE_DOC),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "lambda": math.inf}]},
+     _INVERSE_DOC),
 ], ids=["no-basis", "short-init", "bad-m", "scalar-init", "list-document",
-        "no-data", "no-lambda", "bad-lambda", "decreasing", "zero-budget"])
+        "no-data", "no-lambda", "bad-lambda", "decreasing", "zero-budget",
+        "negative-alpha", "nan-alpha", "infinite-lambda"])
 def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
                                                capsys):
     assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from diracbvp import charfn, eigensolver, inverse
+from diracbvp import eigensolver, integrator, inverse
 from diracbvp.errors import ConfigError
 from diracbvp.model import PI, PotentialSpec, mu
 
@@ -84,25 +84,34 @@ def test_match_roots_returns_the_nearest_root_not_the_nearest_bracket(monkeypatc
     # brackets (-0.5, -0.25) and (0.25, 0.5) of the target 0 are equally far
     # from it; the root 0.26 is nearer than -0.49
     roots = np.array([-0.49, 0.26, 3.0])
-    monkeypatch.setattr(charfn, "delta_many", lambda config, lams: np.prod(
-        np.asarray(lams, complex)[:, None] - roots, axis=1))
-    found = inverse._match_roots(reference_config(), np.array([0.0, 3.1]), 1.0)
+    phi_init = integrator.phi_init
+
+    def psi0_many(config, lams):
+        # phi(0) plus (-P(lambda), 0): the U1 form of the reference boundary
+        # takes phi(0) to 0 and (-P, 0) to P, so Delta is the polynomial P
+        lams = np.asarray(lams, complex)
+        poly = np.prod(lams[:, None] - roots, axis=1)
+        return phi_init(config, lams) - poly[:, None] * np.array([1.0, 0.0])
+
+    monkeypatch.setattr(integrator, "psi0_many", psi0_many)
+    found = inverse._match_roots(reference_config(), np.array([0.0, 3.1]), 1.0)[0]
     np.testing.assert_allclose(found, [0.26, 3.0], rtol=0.0, atol=1e-14)
     # no sign change in the window [0.8, 2.8]: a miss, not an error
     assert np.isnan(inverse._match_roots(reference_config(), np.array([1.8]), 1.0)).all()
 
 
 def _delta_batch_sizes(problem, params):
-    """Batch size of every delta_many call that one residual evaluation makes."""
+    """Batch size of every psi(0) sweep, the Delta batches, that one residual
+    evaluation makes."""
     sizes = []
-    delta_many = charfn.delta_many
+    psi0_many = integrator.psi0_many
 
     def spy(config, lams):
         sizes.append(np.size(lams))
-        return delta_many(config, lams)
+        return psi0_many(config, lams)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charfn, "delta_many", spy)
+        mp.setattr(integrator, "psi0_many", spy)
         inverse.residuals(problem, params)
     return sizes
 
@@ -114,6 +123,14 @@ def test_residuals_scan_the_target_windows_once(small_problem):
     sizes = _delta_batch_sizes(small_problem, [0.0, 0.0])
     assert sizes[0] == 81 and len(sizes) > 2
     assert all(s == sizes[1] < 81 for s in sizes[1:])
+
+
+@pytest.mark.parametrize("params", [[0.2, -0.1], [0.0, 0.0]])
+def test_matched_alphas_are_the_refiners(small_problem, params):
+    config = small_problem.make_config(params)
+    half = PI / (2.0 * mu(PI, small_problem.weight))
+    roots, alphas = inverse._match_roots(config, small_problem.target.lambdas(), half)
+    assert np.array_equal(alphas, eigensolver._per_root(config, roots)[0])
 
 
 def test_misfit_positive_away_from_truth(small_problem):
@@ -135,7 +152,7 @@ def test_a_root_goes_only_to_its_nearest_target(small_problem):
     # root near -0.411; only the nearer target -0.597 keeps it
     config = small_problem.make_config([50.0, 50.0])
     targets = small_problem.target.lambdas()
-    matched = inverse._match_roots(config, targets, PI / (2.0 * mu(PI, small_problem.weight)))
+    matched = inverse._match_roots(config, targets, PI / (2.0 * mu(PI, small_problem.weight)))[0]
     assert targets[3:5] == pytest.approx([-0.597, -0.120], abs=1e-3)
     assert matched[3] == pytest.approx(-0.4108, abs=1e-4)
     assert np.isnan(matched[4])
@@ -150,7 +167,7 @@ def test_a_match_without_a_positive_alpha_is_penalised(small_problem):
     config = small_problem.make_config(params)
     targets = small_problem.target.lambdas()
     half = PI / (2.0 * mu(PI, small_problem.weight))
-    root = inverse._match_roots(config, targets, half)[1]
+    root = inverse._match_roots(config, targets, half)[0][1]
     assert root == pytest.approx(-2.307, abs=1e-3)
     assert eigensolver._per_root(config, [root])[0][0] < 0.0
     r = inverse.residuals(small_problem, params)

@@ -4,13 +4,14 @@ Bracketed Newton with the complex-step Delta-dot converges quadratically
 from the regula falsi point of each bracket: 4 or 5 Delta sweeps reach the
 stopping test on every problem here.  A refiner that keeps secant state, or
 that bisects toward a stale end when a Newton step lands on the bracket end,
-needs more and fails under a cap of 6.
+needs more and fails under a cap of 6.  The roots' alpha_n, beta_n and
+Delta-dot come from the last sweep's psi(0) rows, so no point is swept twice.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracbvp import eigensolver
+from diracbvp import charfn, eigensolver, integrator
 from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
                             Weight)
 
@@ -47,3 +48,36 @@ def test_small_potentials_take_at_most_six_sweeps(alpha, pq):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolver, "_MAX_SWEEPS", SWEEPS)
         assert len(eigensolver.find_eigenvalues(config, -2, 2)) == 5
+
+
+@pytest.fixture()
+def batches(monkeypatch):
+    """The lambda of every psi(0) sweep and of every delta_many batch."""
+    sweeps, deltas = [], []
+    psi0_many, delta_many = integrator.psi0_many, charfn.delta_many
+
+    def sweep_spy(config, lams):
+        sweeps.append(np.array(lams))
+        return psi0_many(config, lams)
+
+    def delta_spy(config, lams):
+        deltas.append(np.array(lams))
+        return delta_many(config, lams)
+
+    monkeypatch.setattr(integrator, "psi0_many", sweep_spy)
+    monkeypatch.setattr(charfn, "delta_many", delta_spy)
+    return sweeps, deltas
+
+
+def test_per_root_quantities_come_from_the_last_sweep(batches):
+    sweeps, deltas = batches
+    config = _spectrum_config(1)
+    data = eigensolver.find_eigenvalues(config, -30, 30)
+    # the scan's Delta batch and 4 Newton sweeps, and no other propagation
+    assert (len(sweeps), len(deltas)) == (5, 1)
+    assert np.array_equal(sweeps[0], deltas[0])
+    assert sum(map(len, sweeps)) == 1257
+    assert not any(np.array_equal(s, t) for i, s in enumerate(sweeps) for t in sweeps[:i])
+    fresh = eigensolver._per_root(config, data.lambdas())
+    assert np.array_equal(fresh[:3], [data.alphas(), [d.beta_n for d in data],
+                                      [d.delta_dot_n for d in data]])

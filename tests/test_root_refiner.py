@@ -39,9 +39,9 @@ def _refined_brackets(call):
     refine = eigensolver._refine_roots
 
     def spy(config, lo, hi, flo, fhi):
-        roots = refine(config, lo, hi, flo, fhi)
-        seen.extend(zip(np.asarray(lo, float), np.asarray(hi, float), roots))
-        return roots
+        found = refine(config, lo, hi, flo, fhi)
+        seen.extend(zip(np.asarray(lo, float), np.asarray(hi, float), found[0]))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolver, "_refine_roots", spy)
