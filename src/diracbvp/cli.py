@@ -1,13 +1,14 @@
 """Command-line front end: eigs, weyl, expand, resolvent, invert, selfcheck.
 
 Every command checks its inputs, then writes a manifest echoing them before
-any data file.  Data files carry no timestamps and use shortest-round-trip
-float text, so identical inputs produce byte-identical outputs.
+any data file.  Data files carry no timestamps and are written by the one
+writer of :mod:`diracbvp.model`, so identical inputs produce byte-identical
+outputs; a command computes a file's numbers before it opens the file, so a
+failure leaves no table cut short.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import __version__, charfn, eigensolver, expansion, integrator, inverse, weyl
 from .errors import ConfigError, DiracBVPError, DomainError, MissingRootError
-from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight,
-                    config_to_dict, load_config)
+from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, _json_int,
+                    _read_json, _write_csv, _write_json, config_to_dict, load_config)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -60,23 +61,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir: Path, command: str, config_paths, params: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "manifest.json", {
@@ -92,13 +76,6 @@ def _write_manifest(out_dir: Path, command: str, config_paths, params: dict) -> 
 # ---------------------------------------------------------------------------
 # eigs
 # ---------------------------------------------------------------------------
-
-def _eigs_rows(data: eigensolver.SpectralDataSet):
-    for d in data:
-        seed = d.lambda_n - d.seed_gap
-        yield [d.n, _fmt(d.lambda_n), _fmt(d.alpha_n), _fmt(d.beta_n),
-               _fmt(d.delta_dot_n), _fmt(seed), _fmt(d.seed_gap)]
-
 
 def cmd_eigs(args) -> int:
     config = load_config(args.config)
@@ -118,8 +95,11 @@ def cmd_eigs(args) -> int:
         code = EXIT_PARTIAL
         if data is None:
             return code
-    header = ["n", "lambda", "alpha", "beta", "delta_dot", "seed", "seed_gap"]
-    _write_csv(out / "eigs.csv", header, _eigs_rows(data))
+    lam, alpha, beta, delta_dot, gap = np.array(
+        [[d.lambda_n, d.alpha_n, d.beta_n, d.delta_dot_n, d.seed_gap] for d in data], float).T
+    _write_csv(out / "eigs.csv",
+               ["n", "lambda", "alpha", "beta", "delta_dot", "seed", "seed_gap"],
+               [[d.n for d in data], lam, alpha, beta, delta_dot, lam - gap, gap])
     data.save(out / "spectral_data.json")
     return code
 
@@ -127,15 +107,6 @@ def cmd_eigs(args) -> int:
 # ---------------------------------------------------------------------------
 # weyl
 # ---------------------------------------------------------------------------
-
-def _weyl_rows(config, lams, data):
-    lams = np.asarray(lams, dtype=complex)
-    ms = weyl._direct_many(config, lams)[0]
-    series = weyl.weyl_series(config, lams, data)
-    for lam, m, m_series in zip(lams, ms, series):
-        yield [_fmt(lam.real), _fmt(lam.imag), _fmt(m.real), _fmt(m.imag),
-               _fmt(abs(m - m_series))]
-
 
 def cmd_weyl(args) -> int:
     config = load_config(args.config)
@@ -155,10 +126,12 @@ def cmd_weyl(args) -> int:
         "series_order": "symmetric, outermost indices first",
         "config": config_to_dict(config)})
     data = eigensolver.find_eigenvalues(config, -args.n_terms, args.n_terms)
-    lams = [complex(r, i) for i in ims for r in res]
+    lams = np.array([complex(r, i) for i in ims for r in res])
+    ms = weyl._direct_many(config, lams)[0]
+    gap = ms - weyl.weyl_series(config, lams, data)
     _write_csv(out / "weyl.csv",
                ["re_lambda", "im_lambda", "re_m", "im_m", "series_defect"],
-               _weyl_rows(config, lams, data))
+               [lams.real, lams.imag, ms.real, ms.imag, np.hypot(gap.real, gap.imag)])
     return EXIT_OK
 
 
@@ -177,9 +150,8 @@ def cmd_expand(args) -> int:
     defect = expansion.parseval_defect(config, data, f)
     err = float(max(np.max(np.abs(f.f1 - partial.f1)),
                     np.max(np.abs(f.f2 - partial.f2))))
-    rows = ([_fmt(x), _fmt(a.real), _fmt(b.real), _fmt(c.real), _fmt(d.real)]
-            for x, a, b, c, d in zip(f.xs, f.f1, f.f2, partial.f1, partial.f2))
-    _write_csv(out / "expand.csv", ["x", "f1", "f2", "s1", "s2"], rows)
+    _write_csv(out / "expand.csv", ["x", "f1", "f2", "s1", "s2"],
+               [f.xs, f.f1.real, f.f2.real, partial.f1.real, partial.f2.real])
     _write_json(out / "expand_summary.json",
                 {"N": args.n_max, "parseval_defect": defect,
                  "max_pointwise_error": err})
@@ -215,12 +187,12 @@ def cmd_resolvent(args) -> int:
 def cmd_invert(args) -> int:
     config = load_config(args.config)
     data = eigensolver.SpectralDataSet.load(args.data)
-    with open(args.inverse_config, "r", encoding="utf-8") as fh:
-        ic = json.load(fh)
+    ic = _read_json(args.inverse_config)
     try:
-        basis = inverse.PotentialBasis(kind=ic["basis"]["kind"], m=int(ic["basis"]["m"]))
+        basis = inverse.PotentialBasis(kind=ic["basis"]["kind"],
+                                       m=_json_int(ic["basis"]["m"], "basis.m"))
         init = [float(v) for v in ic["init"]]
-        budget = int(ic.get("budget", 2000))
+        budget = _json_int(ic.get("budget", 2000), "budget")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed inverse configuration: {exc}") from exc
     basis.to_potential(init)    # raises ConfigError unless init fits the basis
@@ -239,7 +211,7 @@ def cmd_invert(args) -> int:
                 {"parameters": list(result.parameters), "misfit": result.misfit,
                  "iterations": result.iterations, "converged": result.converged})
     _write_csv(out / "trace.csv", ["iteration", "misfit"],
-               ([i, _fmt(v)] for i, v in enumerate(result.trace)))
+               [range(len(result.trace)), np.array(result.trace, dtype=float)])
     return EXIT_OK
 
 
@@ -261,7 +233,7 @@ def _selfcheck_rows(inject_failure: bool):
     rows = []
 
     def add(name, cfg_label, value, threshold):
-        rows.append((name, cfg_label, value, threshold, value <= threshold))
+        rows.append((name, cfg_label, float(value), float(threshold), value <= threshold))
 
     for label, cfg in (("R0", r0), ("R1", r1)):
         ev = charfn.delta(cfg, 3.0 + 0.5j)
@@ -308,12 +280,10 @@ def cmd_selfcheck(args) -> int:
     _write_manifest(out, "selfcheck", [],
                     {"inject_failure": bool(args.inject_failure)})
     rows = _selfcheck_rows(bool(args.inject_failure))
-    _write_csv(out / "selfcheck.csv",
-               ["check", "config", "value", "threshold", "status"],
-               ([name, label, _fmt(value), _fmt(threshold),
-                 "pass" if ok else "fail"]
-                for name, label, value, threshold, ok in rows))
-    all_ok = all(ok for *_, ok in rows)
+    names, labels, values, thresholds, oks = zip(*rows)
+    _write_csv(out / "selfcheck.csv", ["check", "config", "value", "threshold", "status"],
+               [names, labels, values, thresholds, ["pass" if ok else "fail" for ok in oks]])
+    all_ok = all(oks)
     for name, label, value, threshold, ok in rows:
         print(f"{'PASS' if ok else 'FAIL'}  {name:24s} {label:3s} "
               f"value={value:.3e} threshold={threshold:.3e}")

@@ -14,7 +14,6 @@ at lambda_n + ih, so a root costs no propagation beyond its Newton sweeps.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import (ConfigError, MissingRootError, NonProportionalError,
                      RootRefinementError)
 from .model import PI, ProblemConfig, config_fingerprint, mu
-from . import charfn, expansion, integrator
+from . import charfn, expansion, integrator, model
 
 #: the least gap between consecutive eigenvalues of a SpectralDataSet; a
 #: closer pair is not strictly increasing
@@ -33,8 +32,8 @@ _MIN_EIGENVALUE_GAP = 1e-8
 _SCAN_STEPS = 8
 _SCAN_LEVELS = 4
 _PROP_RESIDUAL_TOL = 1e-5
-#: root refinement stops once every Newton step is this small, relative to
-#: max(1, |lambda|); from the regula falsi start that takes 4-5 sweeps
+#: root refinement stops once every Newton step or bracket is this small,
+#: relative to max(1, |lambda|); from the regula falsi start that takes 4-5 sweeps
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _MAX_SWEEPS = 50
 
@@ -99,7 +98,7 @@ class SpectralDataSet:
     def from_dict(doc: dict) -> "SpectralDataSet":
         try:
             data = tuple(
-                SpectralDatum(n=int(r["n"]), lambda_n=float(r["lambda"]),
+                SpectralDatum(n=model._json_int(r["n"], "n"), lambda_n=float(r["lambda"]),
                               alpha_n=float(r["alpha"]), beta_n=float(r["beta"]),
                               delta_dot_n=float(r["delta_dot"]),
                               seed_gap=float(r["seed_gap"]))
@@ -110,14 +109,11 @@ class SpectralDataSet:
             raise ConfigError(f"malformed spectral data document: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        model._write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "SpectralDataSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SpectralDataSet.from_dict(json.load(fh))
+        return SpectralDataSet.from_dict(model._read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +152,8 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     for _ in range(_MAX_SWEEPS):
         psi0, d = _sweep(config, c)
         step = d.real / (d.imag / charfn._COMPLEX_STEP)
-        near = np.abs(step) <= _ROOT_RTOL * np.maximum(1.0, np.abs(c))
+        tol = _ROOT_RTOL * np.maximum(1.0, np.abs(c))
+        near = (np.abs(step) <= tol) | (b - a <= tol)     # c is in [a, b]
         if near.all():
             # beta_n, and so alpha_n, is taken at roots only: at another
             # iterate beta can vanish

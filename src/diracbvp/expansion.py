@@ -6,7 +6,7 @@ rho and the scalars by 1/k1 and 1/k2.  :func:`gram` is its one implementation:
 coefficients and orthogonality are read off it, and its diagonal on the
 eigen-elements is the independent check of the norming constants.  One
 Simpson rule, :func:`_simpson_halves`, gives its weights and the resolvent's
-cumulative integrals.
+cumulative integrals, built once per grid by :func:`_simpson_rule`.
 
 Results that depend only on the config and lambda live in the memo of the
 config's grid, read through :func:`_memo`: :func:`eigen_elements` keyed on
@@ -78,6 +78,18 @@ def _simpson_weights(x) -> np.ndarray:
     return w
 
 
+def _simpson_rule(grid):
+    """The rho-weighted weight of every node of ``grid`` and the halves of each
+    side, built once and kept on the grid."""
+    if grid.simpson is None:
+        w = np.zeros(len(grid.xs))
+        for side, start in ((grid.left, 0), (grid.right, grid.ia)):
+            w[start: start + side.n + 1] += side.rho * _simpson_weights(side.x_nodes)
+        grid.simpson = (w, _simpson_halves(grid.left.x_nodes),
+                        _simpson_halves(grid.right.x_nodes))
+    return grid.simpson
+
+
 def _memo(config: ProblemConfig, key, build):
     """The tuple ``build()`` returns, built once per ``key`` on the config's
     grid and kept in its memo.  Every array of it is made read-only, so no
@@ -113,10 +125,7 @@ def gram(config: ProblemConfig, Y: HElement, Z: HElement) -> np.ndarray:
     (Y1 w) Z1^H + (Y2 w) Z2^H + Y3 Z3^H / k1 + Y4 Z4^H / k2, where w holds the
     rho-weighted Simpson weights of each side of the jump.
     """
-    grid = _check_grid(config, Y, Z)
-    w = np.zeros(len(grid.xs))
-    for side, start in ((grid.left, 0), (grid.right, grid.ia)):
-        w[start: start + side.n + 1] += side.rho * _simpson_weights(side.x_nodes)
+    w = _simpson_rule(_check_grid(config, Y, Z))[0]
     b = config.boundary
     y1, y2, z1, z2 = (np.atleast_2d(v) for v in (Y.f1, Y.f2, Z.f1, Z.f2))
     y3, y4, z3, z4 = (np.atleast_1d(v) for v in (Y.f3, Y.f4, Z.f3, Z.f4))
@@ -201,9 +210,9 @@ def _cumulative(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
     grid = integrator.build_grid(config)
     values = np.asarray(values, dtype=complex)
     steps = []
-    for side, start in ((grid.left, 0), (grid.right, grid.ia)):
+    for side, start, halves in zip((grid.left, grid.right), (0, grid.ia),
+                                   _simpson_rule(grid)[1:]):
         f = values[start: start + side.n + 1]
-        halves = _simpson_halves(side.x_nodes)
         per_pair = (halves[:, 0] * f[:-2:2] + halves[:, 1] * f[1::2]
                     + halves[:, 2] * f[2::2])
         steps.append(side.rho * per_pair.T.ravel())

@@ -20,7 +20,6 @@ run a batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
-import csv
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationOverflowError
-from .model import PI, ProblemConfig
+from .model import PI, ProblemConfig, _write_csv
 
 #: offsets of the two Gauss points of a step, in units of its length
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -56,13 +55,9 @@ class Trajectory:
         return self.ys[i]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "re_y1", "im_y1", "re_y2", "im_y2"])
-            for x, (y1, y2) in zip(self.xs, self.ys):
-                writer.writerow([repr(float(x)),
-                                 repr(float(y1.real)), repr(float(y1.imag)),
-                                 repr(float(y2.real)), repr(float(y2.imag))])
+        y1, y2 = self.ys.T
+        _write_csv(path, ["x", "re_y1", "im_y1", "re_y2", "im_y2"],
+                   [self.xs, y1.real, y1.imag, y2.real, y2.imag])
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +94,8 @@ class _Grid:
     #: recently used first; filled and bounded by ``expansion._memo``, and
     #: dropped with the grid by ``build_grid.cache_clear()``
     memo: OrderedDict = field(default_factory=OrderedDict)
+    #: the grid's Simpson rule, built on first use by ``expansion._simpson_rule``
+    simpson: tuple | None = None
 
 
 def _cuts(config: ProblemConfig) -> list:

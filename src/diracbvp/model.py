@@ -12,6 +12,7 @@ Omega = [[p, q], [q, -p]].
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -191,9 +192,37 @@ class ProblemConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization.  Reals survive a round trip exactly: Python's repr
-# emits shortest round-trip decimal text and json preserves it.
+# Data files: the one JSON and CSV format of the package.  A real is written as
+# its repr, the shortest text that reads back to the same float.
 # ---------------------------------------------------------------------------
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, columns) -> None:
+    """A header, then the rows of the equal-length ``columns``; ``tolist()``
+    makes each a list of Python floats, ints or strs before the file opens."""
+    rows = list(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, an int but not a bool; else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} = {value!r} is not an integer")
+    return value
+
 
 def config_to_dict(config: ProblemConfig) -> dict:
     if config.potential.kind == "callable":
@@ -218,21 +247,18 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         weight = Weight(alpha=float(doc["weight"]["alpha"]), a=float(doc["weight"]["a"]))
         pot = doc["potential"]
         potential = PotentialSpec(pot["kind"], tuple(pot["p_params"]), tuple(pot["q_params"]))
-        grid_points = int(doc.get("grid_points", 2048))
+        grid_points = _json_int(doc.get("grid_points", 2048), "grid_points")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
     return ProblemConfig(boundary, weight, potential, grid_points)
 
 
 def save_config(config: ProblemConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, config_to_dict(config))
 
 
 def load_config(path) -> ProblemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(_read_json(path))
 
 
 def config_fingerprint(config: ProblemConfig) -> str:

@@ -123,8 +123,11 @@ def test_config_without_boundary_is_io_error(tmp_path):
     # json reads NaN and Infinity as floats
     ("boundary", "b1", math.nan), ("weight", "alpha", math.inf),
     ("potential", "p_params", [math.nan]),
+    # an integer field takes a JSON integer only, never truncated or parsed
+    (None, "grid_points", 256.9), (None, "grid_points", "300"), (None, "grid_points", True),
 ], ids=["boundary-b1", "weight-alpha", "None-grid_points",
-        "boundary-b1-NaN", "weight-alpha-Infinity", "potential-p_params-NaN"])
+        "boundary-b1-NaN", "weight-alpha-Infinity", "potential-p_params-NaN",
+        "None-grid_points-fraction", "None-grid_points-string", "None-grid_points-true"])
 def test_config_with_a_non_number_is_io_error(tmp_path, capsys, section, key, value):
     doc = config_to_dict(reference_config())
     (doc[section] if section else doc)[key] = value
@@ -220,6 +223,15 @@ def test_weyl_samples_the_upper_half_plane(tmp_path, config_path):
     assert float(rows[1][2]) == pytest.approx(0.0, abs=1e-8)
     assert float(rows[1][3]) == pytest.approx(-0.5, abs=1e-8)
     assert float(rows[1][4]) < 1e-2
+
+
+def test_weyl_that_overflows_writes_no_table(tmp_path, config_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["weyl", "--config", str(config_path), "--im-min", "400",
+                     "--im-max", "400", "--out", str(out)]) == cli.EXIT_PARTIAL
+    err = capsys.readouterr().err
+    assert err.startswith("diracbvp: ") and err.count("\n") == 1, err
+    assert not (out / "weyl.csv").exists()
 
 
 def test_weyl_rejects_bad_margin(tmp_path, config_path):
@@ -344,9 +356,14 @@ def _invert_argv(tmp_path, data_doc, inverse_doc):
      _INVERSE_DOC),
     ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "lambda": math.inf}]},
      _INVERSE_DOC),
+    (_DATA_DOC, {**_INVERSE_DOC, "budget": 2.5}),
+    (_DATA_DOC, {**_INVERSE_DOC, "budget": True}),
+    (_DATA_DOC, {"basis": {"kind": "piecewise", "m": 1.0}, "init": [0, 0]}),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "n": -0.5}]}, _INVERSE_DOC),
 ], ids=["no-basis", "short-init", "bad-m", "scalar-init", "list-document",
         "no-data", "no-lambda", "bad-lambda", "decreasing", "zero-budget",
-        "negative-alpha", "nan-alpha", "infinite-lambda"])
+        "negative-alpha", "nan-alpha", "infinite-lambda", "fractional-budget",
+        "true-budget", "float-m", "fractional-n"])
 def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
                                                capsys):
     assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO

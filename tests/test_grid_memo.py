@@ -176,3 +176,25 @@ def test_eigen_element_rows_do_not_depend_on_their_batch(config, take):
     part = expansion.eigen_elements(config, SEED1_LAMBDAS[take])
     for name in ("f1", "f2", "f3", "f4"):
         assert getattr(part, name).tobytes() == getattr(full, name)[take].tobytes()
+
+
+def test_simpson_rule_is_built_once_per_grid(config, monkeypatch):
+    calls = []
+    rule = expansion._simpson_weights
+
+    def counted(x):
+        calls.append(len(x))
+        return rule(x)
+
+    monkeypatch.setattr(expansion, "_simpson_weights", counted)
+    f, g = _elements(config)
+    first = [expansion.gram(config, f, g), expansion.inner(config, g, g),
+             expansion.resolvent_apply(config, RESOLVENT_LAMBDAS[0], f).ys]
+    assert len(calls) == 2                 # one per side of the jump
+    integrator.build_grid.cache_clear()
+    assert integrator.build_grid(config).simpson is None
+    f, g = _elements(config)
+    again = [expansion.gram(config, f, g), expansion.inner(config, g, g),
+             expansion.resolvent_apply(config, RESOLVENT_LAMBDAS[0], f).ys]
+    assert len(calls) == 4
+    assert _bytes(*first) == _bytes(*again)

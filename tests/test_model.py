@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from diracbvp.errors import ConfigError, DomainError
 from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
-                            Weight, config_from_dict, config_to_dict,
-                            config_fingerprint, load_config, mu, omega_at,
-                            rho_at, save_config)
+                            Weight, _write_csv, _write_json, config_from_dict,
+                            config_to_dict, config_fingerprint, load_config, mu,
+                            omega_at, rho_at, save_config)
 
 from conftest import reference_config
 
@@ -138,6 +138,27 @@ def test_config_json_round_trip_exact(tmp_path):
     save_config(cfg, path)
     assert load_config(path) == cfg
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_csv_writer_pins_its_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["x", "n", "s"], [np.array([0.1, 1e-20, -0.0]),
+                                       np.array([1, 2, 3], dtype=np.int64),
+                                       np.array(["a", "b", "c"])])
+    assert path.read_bytes() == b"x,n,s\n0.1,1,a\n1e-20,2,b\n-0.0,3,c\n"
+
+
+def test_csv_writer_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", ["x", "n"], [[0.5, 1.5], [1]])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_json_writer_pins_its_bytes(tmp_path):
+    path = tmp_path / "t.json"
+    _write_json(path, {"b": [1.0, 2], "a": {"y": -0.0, "x": 1e-20}})
+    assert path.read_bytes() == (b'{\n  "a": {\n    "x": 1e-20,\n    "y": -0.0\n  },\n'
+                                 b'  "b": [\n    1.0,\n    2\n  ]\n}\n')
 
 
 def test_callable_potential_not_serializable():

@@ -96,6 +96,21 @@ def test_roots_converge_where_rounding_holds_the_newton_step_up():
     _assert_brent_roots(config, seen)
 
 
+def test_roots_converge_where_the_bracket_shrinks_to_one_ulp():
+    # near its root at -1.4506, Delta carries rounding of about 2e-13 against
+    # a Delta-dot of 63: the Newton steps stay near 3e-15, above the
+    # tolerance of 1.3e-15, and alternate in sign until the bracket is two
+    # adjacent floats, whose midpoint is one of them
+    config = ProblemConfig(
+        boundary=BoundaryParams(0.3981237812356686, 0.0, 0.0001, 1.8677293004537878,
+                                0.3981237812356686, 0.0, 0.0001, 1.8677293004537878),
+        weight=Weight(alpha=1.0, a=0.6375345877421861),
+        potential=PotentialSpec.piecewise([-0.630952824841259], [0.7808217017741392]),
+        grid_points=512)
+    seen = _refined_brackets(lambda: eigensolver.find_eigenvalues(config, -3, 3))
+    _assert_brent_roots(config, seen)
+
+
 def test_sweep_cap_raises_a_typed_error(monkeypatch):
     config = _config(2.0, [0.2, -0.1], [0.1, 0.05])
     targets = eigensolver.find_eigenvalues(config, -N, N).lambdas() + 0.01
