@@ -3,7 +3,10 @@
 Delta(lambda) is the Wronskian of the left- and right-normalized solutions;
 its zeros are the eigenvalues.  Three algebraically equivalent expressions
 (Wronskian at an interior node, the U1 form on psi, the negated U2 form on
-phi) are evaluated side by side as a numerical self-check.
+phi) are evaluated side by side as a numerical self-check.  At real lambda,
+:func:`complex_step` is the one source of psi(0), Delta and Delta-dot for
+the root refiner and the per-root quantities: one psi(0) sweep at
+lambda + ih gives all three.
 """
 from __future__ import annotations
 
@@ -44,11 +47,28 @@ def u2_form(config: ProblemConfig, lam, y1_pi, y2_pi):
     return b.c1 * y2_pi + b.c2 * y1_pi + lam * (b.c3 * y2_pi + b.c4 * y1_pi)
 
 
+def _psi0_and_delta(config: ProblemConfig, lams: np.ndarray):
+    """psi(0) and Delta, via the U1 form on psi(0), from one psi(0) sweep."""
+    psi0 = integrator.psi0_many(config, lams)
+    return psi0, u1_form(config, lams, psi0[:, 0], psi0[:, 1])
+
+
 def delta_many(config: ProblemConfig, lams) -> np.ndarray:
     """Batched Delta via the U1 form on psi(0)."""
+    return _psi0_and_delta(config, np.atleast_1d(np.asarray(lams, dtype=complex)))[1]
+
+
+def complex_step(config: ProblemConfig, lams):
+    """psi(0), Delta and d Delta / d lambda at real lambda, from one psi(0)
+    sweep at lambda + ih.  Delta is holomorphic and real on the real axis, so
+    the real parts are psi(0) and Delta at lambda to O(h^2), and the complex
+    step Im Delta(lambda + ih) / h (Squire and Trapp 1998) is Delta-dot with
+    Delta's digits: it takes no difference."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    psi0 = integrator.psi0_many(config, lams)
-    return u1_form(config, lams, psi0[:, 0], psi0[:, 1])
+    if np.any(lams.imag != 0.0):
+        raise DomainError("the complex-step derivative of Delta needs real lambda")
+    psi0, d = _psi0_and_delta(config, lams.real + 1j * _COMPLEX_STEP)
+    return psi0.real, d.real, d.imag / _COMPLEX_STEP
 
 
 def delta(config: ProblemConfig, lam) -> CharEval:
@@ -67,18 +87,8 @@ def delta(config: ProblemConfig, lam) -> CharEval:
 
 
 def delta_dot(config: ProblemConfig, lam) -> float:
-    """d Delta / d lambda at a real lambda; see :func:`delta_dot_many`."""
-    return float(delta_dot_many(config, [lam])[0])
-
-
-def delta_dot_many(config: ProblemConfig, lams) -> np.ndarray:
-    """Batched d Delta / d lambda at real lambda from one :func:`delta_many`
-    call: Delta is holomorphic and real on the real axis, so the complex step
-    Im Delta(lambda + ih) / h (Squire and Trapp 1998) keeps Delta's digits."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    if np.any(lams.imag != 0.0):
-        raise DomainError("the complex-step derivative of Delta needs real lambda")
-    return delta_many(config, lams.real + 1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
+    """d Delta / d lambda at a real lambda; see :func:`complex_step`."""
+    return float(complex_step(config, [lam])[2][0])
 
 
 def seed_phase(config: ProblemConfig) -> float:

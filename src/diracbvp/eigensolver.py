@@ -9,8 +9,9 @@ at most one bracket, so every certified root has multiplicity one.  The
 brackets are refined by batched, bracketed Newton steps with the complex-step
 Delta-dot, the one root refiner; the inverse matcher shares it and the
 bracket rule.  All heavy evaluations run as single batched propagations;
-alpha_n, beta_n and Delta-dot(lambda_n) come from the refiner's last one,
-at lambda_n + ih, so a root costs no propagation beyond its Newton sweeps.
+each Newton sweep is one :func:`charfn.complex_step`, and alpha_n, beta_n and
+Delta-dot(lambda_n) come from the refiner's last one, so a root costs no
+propagation beyond its Newton sweeps.
 """
 from __future__ import annotations
 
@@ -120,10 +121,6 @@ class SpectralDataSet:
 # Root search
 # ---------------------------------------------------------------------------
 
-def _real_delta(config: ProblemConfig, lams) -> np.ndarray:
-    return np.real(charfn.delta_many(config, np.asarray(lams, dtype=float)))
-
-
 def _sign_changes(vals: np.ndarray) -> np.ndarray:
     """Indices j where ``vals[j]`` and ``vals[j + 1]`` differ in sign; an exact
     zero counts as positive, so it opens exactly one bracket."""
@@ -137,28 +134,28 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
 
     ``flo`` and ``fhi`` are Delta at the bracket ends and must not share a
     sign; the first iterate c is their regula falsi point.  Each sweep is one
-    psi(0) sweep at c + ih, whose Delta has real part Delta(c) and imaginary
-    part over h Delta-dot(c).  The end with the sign of Delta(c) moves to
-    c, and c moves to the Newton point if it lies in the closed bracket,
-    else to the midpoint; a root whose Newton step is not yet within the
-    tolerance also bisects when its Newton point is the far end of its
-    bracket.  Every sweep evaluates the whole batch; Delta at a point does
-    not depend on its batch, so the loop needs no index bookkeeping, and
-    the last sweep's rows give the per-root quantities.
+    :func:`charfn.complex_step` at c, which gives psi(0), Delta and Delta-dot
+    there.  The end with the sign of Delta(c) moves to c, and c moves to the
+    Newton point if it lies in the closed bracket, else to the midpoint; a
+    root whose Newton step is not yet within the tolerance also bisects when
+    its Newton point is the far end of its bracket.  Every sweep evaluates
+    the whole batch; Delta at a point does not depend on its batch, so the
+    loop needs no index bookkeeping, and the last sweep's rows give the
+    per-root quantities.
     """
     a, b = np.array(lo, float), np.array(hi, float)
     neg_a = np.signbit(flo)
     c = b - fhi * (b - a) / (fhi - flo)
     for _ in range(_MAX_SWEEPS):
-        psi0, d = _sweep(config, c)
-        step = d.real / (d.imag / charfn._COMPLEX_STEP)
+        psi0, d, ddot = charfn.complex_step(config, c)
+        step = d / ddot
         tol = _ROOT_RTOL * np.maximum(1.0, np.abs(c))
         near = (np.abs(step) <= tol) | (b - a <= tol)     # c is in [a, b]
         if near.all():
             # beta_n, and so alpha_n, is taken at roots only: at another
             # iterate beta can vanish
-            return np.vstack([c, _from_sweep(config, c, psi0, d)])
-        moves_a = np.signbit(d.real) == neg_a
+            return np.vstack([c, _from_sweep(config, c, psi0, ddot)])
+        moves_a = np.signbit(d) == neg_a
         a, b = np.where(moves_a, c, a), np.where(moves_a, b, c)
         newton = c - step
         # where Delta's rounding holds the Newton step above the tolerance,
@@ -189,12 +186,6 @@ def _winding(d: np.ndarray):
     # arg of d[k+1] / d[k], written without a division
     steps = np.angle(d[1:] * np.conj(d[:-1]))
     return int(np.rint(np.sum(steps) / PI)), float(np.max(np.abs(steps)))
-
-
-def _contour_count(config: ProblemConfig, lo: float, hi: float, step: float):
-    """Zeros of Delta in the rectangle [lo, hi] x [-i s, i s], s = pi / mu(pi),
-    and the largest phase step taken along samples at most ``step`` apart."""
-    return _winding(charfn.delta_many(config, _contour_points(config, lo, hi, step)))
 
 
 def _best_run(short, long) -> int:
@@ -258,23 +249,13 @@ def _complete(config: ProblemConfig, ns, found, seeds) -> SpectralDataSet:
 # Per-root quantities
 # ---------------------------------------------------------------------------
 
-def _sweep(config: ProblemConfig, c):
-    """psi(0) and Delta at c + ih for real c, from one psi(0)-only sweep."""
-    lams = np.asarray(c, float) + 1j * charfn._COMPLEX_STEP
-    psi0 = integrator.psi0_many(config, lams)
-    return psi0, charfn.u1_form(config, lams, psi0[:, 0], psi0[:, 1])
-
-
-def _from_sweep(config: ProblemConfig, roots, psi0, d) -> np.ndarray:
+def _from_sweep(config: ProblemConfig, roots, psi0, ddots) -> np.ndarray:
     """alpha_n, beta_n, Delta-dot(lambda_n) and the proportionality residual
-    |psi(0) - beta_n phi(0)| / |psi(0)| from psi(0) and Delta at the roots
-    lambda_n + ih, as the rows of one array: Delta-dot is the complex step
-    Im Delta(lambda_n + ih) / h, beta_n the least-squares ratio of psi(0) to
-    the exact phi(0), and alpha_n = Delta-dot / beta_n.  psi - beta_n phi
-    solves the equation, so its size at x = 0 measures the proportionality
-    everywhere."""
-    ddots = d.imag / charfn._COMPLEX_STEP
-    psi0 = psi0.real    # psi(lambda) to O(h^2)
+    |psi(0) - beta_n phi(0)| / |psi(0)| from the real psi(0) and Delta-dot
+    that :func:`charfn.complex_step` gives at the roots lambda_n, as the rows
+    of one array: beta_n is the least-squares ratio of psi(0) to the exact
+    phi(0), and alpha_n = Delta-dot / beta_n.  psi - beta_n phi solves the
+    equation, so its size at x = 0 measures the proportionality everywhere."""
     phi0 = integrator.phi_init(config, roots).real
     betas = np.sum(psi0 * phi0, axis=1) / np.sum(phi0 * phi0, axis=1)
     resid = np.hypot(*(psi0 - betas[:, None] * phi0).T) / np.hypot(*psi0.T)
@@ -284,7 +265,8 @@ def _from_sweep(config: ProblemConfig, roots, psi0, d) -> np.ndarray:
 def _per_root(config: ProblemConfig, roots) -> np.ndarray:
     """The rows of :func:`_from_sweep` at ``roots``, from their own sweep."""
     roots = np.asarray(roots, float)
-    return _from_sweep(config, roots, *_sweep(config, roots))
+    psi0, _, ddots = charfn.complex_step(config, roots)
+    return _from_sweep(config, roots, psi0, ddots)
 
 
 def _checked_per_root(config: ProblemConfig, lambda_n: float):

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationOverflowError
-from .model import PI, ProblemConfig, _write_csv
+from .model import PI, ProblemConfig, _check_domain, _write_csv
 
 #: offsets of the two Gauss points of a step, in units of its length
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -50,8 +50,9 @@ class Trajectory:
     index_a: int          # position of the weight jump in xs
 
     def value_at(self, x: float) -> np.ndarray:
-        """State at a grid node (nearest-node lookup; the grid is dense)."""
-        i = int(np.argmin(np.abs(self.xs - x)))
+        """State at the grid node nearest x in [0, pi] (the grid is dense);
+        an x outside raises :class:`DomainError`."""
+        i = int(np.argmin(np.abs(self.xs - _check_domain(x))))
         return self.ys[i]
 
     def to_csv(self, path) -> None:

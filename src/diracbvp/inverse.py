@@ -14,13 +14,13 @@ when Delta overflows in the windows; the objective stays total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ConfigError, IntegrationOverflowError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
-from . import eigensolver, expansion
+from . import charfn, eigensolver, expansion
 
 _PENALTY = 1e6
 
@@ -66,7 +66,6 @@ class InverseProblem:
     boundary: BoundaryParams
     weight: Weight
     grid_points: int = 512
-    datum_weights: Optional[tuple] = None
 
     def __post_init__(self):
         lams, alphas = self.target.lambdas(), self.target.alphas()
@@ -79,12 +78,8 @@ class InverseProblem:
             raise ConfigError(
                 f"{self.basis.dim} parameters exceed the "
                 f"{2 * len(self.target)} scalar data available")
-        if self.datum_weights is not None and len(self.datum_weights) != len(self.target):
-            raise ConfigError("datum_weights length must match the target data")
 
     def weights(self) -> np.ndarray:
-        if self.datum_weights is not None:
-            return np.asarray(self.datum_weights, dtype=float)
         return default_weights([d.n for d in self.target])
 
     def make_config(self, params) -> ProblemConfig:
@@ -118,7 +113,7 @@ def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
     # every target is a sample point: near the truth the regula falsi start
     # is already converged, and Newton stops after one sweep
     pts = np.unique(targets[:, None] + np.linspace(-half, half, eigensolver._SCAN_STEPS + 1))
-    vals = eigensolver._real_delta(config, pts)
+    vals = charfn.delta_many(config, pts).real
     j = eigensolver._sign_changes(vals)
     if len(j) == 0:
         return np.full((2, len(targets)), np.nan)

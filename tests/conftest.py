@@ -2,7 +2,8 @@
 
 R0 has a trivial weight (alpha = 1) so everything has elementary closed
 forms; R1 doubles the weight on the right half so the jump machinery is
-actually exercised.
+actually exercised.  Hypothesis runs derandomized, so every run on every
+machine draws the same examples; each test keeps its own ``max_examples``.
 """
 import os
 import subprocess
@@ -10,10 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import diracbvp
 from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
                             Weight)
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def reference_config(alpha: float = 1.0, grid_points: int = 1024,

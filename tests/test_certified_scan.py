@@ -42,6 +42,11 @@ def _dense_roots(config, lo, hi, s):
     return np.sort(np.concatenate([res.x, pts[vals == 0.0]]))
 
 
+def _contour_count(config, lo, hi, step):
+    pts = eigensolver._contour_points(config, lo, hi, step)
+    return eigensolver._winding(charfn.delta_many(config, pts))
+
+
 def _assert_consecutive_dense_roots(lams, dense):
     run = dense[(dense > lams[0] - 1e-10) & (dense < lams[-1] + 1e-10)]
     assert len(run) == len(lams)
@@ -69,9 +74,9 @@ def test_scan_roots_and_contour_count_match_a_dense_scan(config):
     lo, hi, s = _scan_range(config, -3, 3)
     dense = _dense_roots(config, lo, hi, s)
     _assert_consecutive_dense_roots(data.lambdas(), dense)
-    assert eigensolver._contour_count(config, lo, hi, s / DENSE)[0] == len(dense)
+    assert _contour_count(config, lo, hi, s / DENSE)[0] == len(dense)
     # a count the scan accepts is right at its own density too
-    count, worst = eigensolver._contour_count(config, lo, hi, s / eigensolver._SCAN_STEPS)
+    count, worst = _contour_count(config, lo, hi, s / eigensolver._SCAN_STEPS)
     if worst < PI / 2.0:
         assert count == len(dense)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diracbvp import charfn, integrator, weyl
-from diracbvp.errors import IntegrationOverflowError
+from diracbvp.errors import DomainError, IntegrationOverflowError
 from diracbvp.model import PI, PotentialSpec, mu
 
 from conftest import reference_config
@@ -112,6 +112,13 @@ def test_value_at_returns_nearest_node(r0):
     traj = integrator.propagate(r0, 1.0, (1.0, 0.0), "left")
     np.testing.assert_allclose(traj.value_at(0.0), traj.ys[0])
     np.testing.assert_allclose(traj.value_at(PI), traj.ys[-1])
+
+
+@pytest.mark.parametrize("x", [5.0, -3.0])
+def test_value_at_outside_the_interval_raises(r0, x):
+    traj = integrator.phi(r0, 1.0)
+    with pytest.raises(DomainError):
+        traj.value_at(x)
 
 
 def test_trajectory_csv_round_trip(tmp_path, r0):

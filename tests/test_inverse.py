@@ -61,12 +61,6 @@ def test_problem_validation(small_target, small_truth):
                                basis=inverse.PotentialBasis("piecewise", 10),
                                boundary=small_truth.boundary,
                                weight=small_truth.weight)
-    with pytest.raises(ConfigError):
-        inverse.InverseProblem(target=small_target,
-                               basis=inverse.PotentialBasis("piecewise", 1),
-                               boundary=small_truth.boundary,
-                               weight=small_truth.weight,
-                               datum_weights=(1.0, 2.0))
 
 
 def test_synthesized_data_is_labelled_and_complete(small_truth, small_target):

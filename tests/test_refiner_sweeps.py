@@ -81,3 +81,35 @@ def test_per_root_quantities_come_from_the_last_sweep(batches):
     fresh = eigensolver._per_root(config, data.lambdas())
     assert np.array_equal(fresh[:3], [data.alphas(), [d.beta_n for d in data],
                                       [d.delta_dot_n for d in data]])
+
+
+def test_every_complex_step_sweep_goes_through_charfn(monkeypatch):
+    """The psi(0) sweeps at lambda + ih of the Newton refiner, of
+    norming_constant, of beta and of delta_dot are each one
+    charfn.complex_step; no other code sweeps at the complex step."""
+    sweeps, depth = [], []
+    psi0_many, complex_step = integrator.psi0_many, charfn.complex_step
+
+    def sweep_spy(config, lams):
+        sweeps.append((np.array(lams), bool(depth)))
+        return psi0_many(config, lams)
+
+    def step_spy(config, lams):
+        depth.append(None)
+        try:
+            return complex_step(config, lams)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(integrator, "psi0_many", sweep_spy)
+    monkeypatch.setattr(charfn, "complex_step", step_spy)
+    config = _spectrum_config(1)
+    lam = eigensolver.find_eigenvalues(config, -30, 30).by_index(0).lambda_n
+    eigensolver.norming_constant(config, lam)
+    eigensolver.beta(config, lam)
+    charfn.delta_dot(config, lam)
+    stepped = [inside for lams, inside in sweeps
+               if np.all(lams.imag == charfn._COMPLEX_STEP)]
+    # 4 Newton sweeps, then one each for norming_constant, beta and delta_dot
+    assert len(stepped) == 7 and all(stepped)
+    assert len(sweeps) == 8 and not sweeps[0][1]
