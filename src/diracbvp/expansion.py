@@ -50,9 +50,7 @@ class HElement:
 def _check_grid(config: ProblemConfig, *elements: HElement):
     grid = integrator.build_grid(config)
     for el in elements:
-        if el.xs is grid.xs:
-            continue
-        if len(el.xs) != len(grid.xs) or not np.allclose(el.xs, grid.xs):
+        if el.xs is not grid.xs and not np.array_equal(el.xs, grid.xs):
             raise GridMismatchError("element grid does not match the config grid")
     return grid
 

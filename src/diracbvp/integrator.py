@@ -5,18 +5,24 @@ fourth-order Magnus term of Iserles and Norsett (1999) built from the
 coefficient matrix at the step's two Gauss points.  The step is exact wherever
 p, q and rho are constant over it, so the one grid of a problem places a node
 at the weight jump and at every breakpoint of a piecewise potential, and no
-lambda needs a finer grid.  A batch of lambda values is swept forward, side by
-side, as one (2, batch) state, and the sweep returns the state it ends on.
+lambda needs a finer grid.  The grid also splits each side of the jump into
+cells: a run of steps on which the samples of p and q are one constant is one
+cell, and any other step is a cell of its own.  Omega over a whole constant
+cell is the same formula with the cell's length, so a cell is crossed in one
+exact product, and every node of it is one product with its first state.
+A batch of lambda values is swept forward, side by side, as one (2, batch)
+state, and the sweep returns the state it ends on.
 :func:`propagate_many` also writes every node into one (N+1, 2, batch) buffer
 allocated once and returns it as its (batch, N+1, 2) transpose, without a
-copy; a leftward propagation is the same sweep over reversed, negated steps
+copy; a leftward propagation is the same sweep over reversed, negated cells
 into a reversed view of the buffer.  :func:`psi0_many` runs the same leftward
 sweep of psi and keeps only psi(0), which is all that Delta and the Weyl
-function read, so its memory does not grow with the grid.  The sweep builds
-the step matrices of a run of steps in one vectorised pass and then takes
-each step's 2x2 product for the whole batch in two ufunc calls; the run
-length bounds its temporaries and changes no value.  The scalar entry points
-run a batch of one through :func:`propagate`.
+function read, so it takes one product per cell and its memory does not grow
+with the grid.  The sweep builds the matrices of a run of cells, or of the
+nodes of one cell, in one vectorised pass and then takes each cell's 2x2
+product for the whole batch in two ufunc calls; the run length bounds its
+temporaries and changes no value.  The scalar entry points run a batch of one
+through :func:`propagate`.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from .model import PI, ProblemConfig, _check_domain, _write_csv
 
 #: offsets of the two Gauss points of a step, in units of its length
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
-#: lambda-steps per block of step matrices built at once; it bounds the
+#: (lambda, matrix) pairs per block of matrices built at once; it bounds the
 #: sweep's temporaries to a few arrays of this many entries, and no value
 #: depends on it
 _BLOCK = 4096
@@ -67,19 +73,46 @@ class Trajectory:
 
 @dataclass
 class _Side:
-    """One smooth side of the jump: its nodes and, per step, the six
-    lambda-independent rows (a0, a1, b0, b1, c0, c1) of
-    Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho."""
+    """One smooth side of the jump: its nodes, its cells and, per step, the
+    six lambda-independent rows (a0, a1, b0, b1, c0, c1) of
+    Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho.
+
+    A cell is a run of steps on which p and q are constant, or one step of
+    any other kind; ``cells`` holds its bounds as node indices.  Column j - 1
+    of ``cell_omega`` is Omega from node j's cell's first node to node j,
+    exact on a constant piece, so the state at every node of a cell is one
+    product with the state at its first node; ``back_omega`` holds the same
+    for the reversed side, in this side's step order.  A one-step cell's
+    columns are the step's rows (negated in ``back_omega``).
+    """
 
     n: int
     rho: float
     x_nodes: np.ndarray
     omega: np.ndarray        # (6, n)
+    cells: np.ndarray        # (number of cells + 1,) node indices, 0 to n
+    cell_omega: np.ndarray   # (6, n)
+    back_omega: np.ndarray   # (6, n)
+    #: rows from each cell's first node to its last, and the runs of the
+    #: side as (first node, last node, one cell of several steps)
+    end_omega: np.ndarray = field(init=False)
+    runs: list = field(init=False)
+
+    def __post_init__(self):
+        self.end_omega = self.cell_omega[:, self.cells[1:] - 1]
+        several = np.diff(self.cells) > 1
+        # a run is one cell of several steps, or a stretch of one-step cells
+        first = np.flatnonzero(np.r_[True, several[1:] | several[:-1]])
+        edges = np.r_[self.cells[first], self.n]
+        self.runs = list(zip(edges[:-1].tolist(), edges[1:].tolist(),
+                             several[first].tolist()))
 
     def reversed(self) -> "_Side":
         """The side seen from its right end: reversed steps, negated Omega."""
         return _Side(n=self.n, rho=self.rho, x_nodes=self.x_nodes[::-1],
-                     omega=-self.omega[:, ::-1])
+                     omega=-self.omega[:, ::-1], cells=self.n - self.cells[::-1],
+                     cell_omega=self.back_omega[:, ::-1],
+                     back_omega=self.cell_omega[:, ::-1])
 
 
 @dataclass
@@ -125,12 +158,9 @@ def _side_nodes(x0: float, x1: float, n: int, cuts) -> np.ndarray:
     return np.concatenate(parts + [[x1]])
 
 
-def _make_side(config: ProblemConfig, x0: float, x1: float, n: int, rho: float) -> _Side:
-    xn = _side_nodes(x0, x1, n, _cuts(config))
-    h = np.diff(xn)
-    pot = config.potential
-    xa, xb = (xn[:-1] + g * h for g in _GAUSS)
-    p1, q1, p2, q2 = pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb)
+def _omega_rows(h, p1, q1, p2, q2) -> np.ndarray:
+    """The six rows of Omega over steps of length h with p and q sampled at
+    their two Gauss points."""
     # Omega = h/2 (A1 + A2) + sqrt(3) h^2 / 12 [A2, A1] with
     # A = [[q, -(p + s)], [s - p, -q]] is [[a, d - j], [d + j, -a]], where
     # a, d and j are affine in s
@@ -138,8 +168,26 @@ def _make_side(config: ProblemConfig, x0: float, x1: float, n: int, rho: float) 
     a0, a1 = 0.5 * h * (q1 + q2), -k * (p2 - p1)
     d0, d1 = -0.5 * h * (p1 + p2), -k * (q2 - q1)
     j0, j1 = k * (q2 * p1 - p2 * q1), h
-    omega = np.array([a0, a1, d0 - j0, d1 - j1, d0 + j0, d1 + j1])
-    return _Side(n=len(h), rho=rho, x_nodes=xn, omega=omega)
+    return np.array([a0, a1, d0 - j0, d1 - j1, d0 + j0, d1 + j1])
+
+
+def _make_side(config: ProblemConfig, x0: float, x1: float, n: int, rho: float) -> _Side:
+    xn = _side_nodes(x0, x1, n, _cuts(config))
+    h = np.diff(xn)
+    pot = config.potential
+    xa, xb = (xn[:-1] + g * h for g in _GAUSS)
+    samples = p1, q1, p2, q2 = pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb)
+    # a step opens a new cell unless it and the previous step are constant
+    # with the same p and q; cell[i] is step i's cell, whose first and last
+    # nodes are cells[cell[i]] and cells[cell[i] + 1]
+    const = (p1 == p2) & (q1 == q2)
+    opens = ~np.r_[False, const[1:] & const[:-1] & (p1[1:] == p1[:-1]) & (q1[1:] == q1[:-1])]
+    cells = np.r_[np.flatnonzero(opens), len(h)]
+    cell = np.cumsum(opens) - 1
+    return _Side(n=len(h), rho=rho, x_nodes=xn, omega=_omega_rows(h, *samples),
+                 cells=cells,
+                 cell_omega=_omega_rows(xn[1:] - xn[cells[cell]], *samples),
+                 back_omega=-_omega_rows(xn[cells[cell + 1]] - xn[:-1], *samples))
 
 
 @lru_cache(maxsize=64)
@@ -160,57 +208,107 @@ def build_grid(config: ProblemConfig) -> _Grid:
 # Magnus sweeps
 # ---------------------------------------------------------------------------
 
-def _magnus_side(side: _Side, lam_rho: np.ndarray, state: np.ndarray, out=None) -> None:
-    """March one smooth side, in place, from the (2, batch) ``state`` at its
-    first node to its last node; given ``out`` (side.n + 1, 2, batch), also
-    write the state at every further node into it.
+def _step_matrices(rows: np.ndarray, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """exp(Omega) of each of the k columns of ``rows`` at every s, written
+    into and returned as m[:k], m[j, 0] = (r11, r21), m[j, 1] = (r12, r22).
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega, even
     in w, with z = w^2 = -(Omega11^2 + Omega12 Omega21).  With w = x + iy,
     cos(w) and sin(w) come from the real sin and cos of x and sinh and cosh
     of y, and sin(w) / w is one complex division; where |w|^2 < ``_SERIES_Z``
-    both are series in z, so a step stays holomorphic in lambda at w = 0.
-    The step matrices of each run of k steps are built at once, with
-    k * batch near ``_BLOCK``, and written column by column into one
-    (k, 2, 2, batch) buffer allocated per call: m[j, 0] = (r11, r21) and
-    m[j, 1] = (r12, r22), so step j reads one contiguous (2, 2, batch) block.
-    A step is then two ufunc calls: the products m[j, c, r] * state[c] into
-    a (2, 2, batch) scratch, and the sum of its two columns into ``state``,
-    r11 y1 + r12 y2 and r21 y1 + r22 y2, the same products and sums as one
-    2x2 product per lambda.
+    both are series in z, so a matrix stays holomorphic in lambda at w = 0.
     """
-    s = lam_rho
-    k = min(side.n, max(1, _BLOCK // max(1, len(s))))
+    a0, a1, b0, b1, c0, c1 = rows[:, :, None]
+    o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
+    z = -(o11 * o11 + o12 * o21)
+    w = np.sqrt(z)
+    x, y = w.real, w.imag
+    sx, cx, shy, chy = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
+    cw, sw = np.empty_like(w), np.empty_like(w)
+    cw.real, cw.imag = cx * chy, -sx * shy
+    sw.real, sw.imag = sx * chy, cx * shy
+    small = x * x + y * y < _SERIES_Z
+    np.divide(sw, w, out=sw, where=~small)
+    zs = z[small]
+    cw[small] = 1 - zs * (1 / 2 - zs * (1 / 24 - zs * (1 / 720 - zs * (1 / 40320))))
+    sw[small] = 1 - zs * (1 / 6 - zs * (1 / 120 - zs * (1 / 5040 - zs * (1 / 362880))))
+    so11 = sw * o11
+    mb = m[:len(o11)]
+    np.add(cw, so11, out=mb[:, 0, 0])
+    np.multiply(sw, o21, out=mb[:, 0, 1])
+    np.multiply(sw, o12, out=mb[:, 1, 0])
+    np.subtract(cw, so11, out=mb[:, 1, 1])
+    return mb
+
+
+def _block(count: int, batch: int) -> int:
+    """Matrices built at once: about ``_BLOCK`` entries, at least one."""
+    return min(count, max(1, _BLOCK // max(1, batch)))
+
+
+def _march(rows: np.ndarray, s: np.ndarray, state: np.ndarray, out=None) -> None:
+    """Multiply the (2, batch) ``state``, in place, by exp(Omega) of each
+    column of ``rows`` in turn; given ``out``, write the state after column
+    j - 1 into out[j].
+
+    The matrices of each run of k columns are built at once, with
+    k * batch near ``_BLOCK``, into one (k, 2, 2, batch) buffer allocated per
+    call, so column j reads one contiguous (2, 2, batch) block.  A product
+    is then two ufunc calls: m[j, c, r] * state[c] into a (2, 2, batch)
+    scratch, and the sum of its two columns into ``state``, r11 y1 + r12 y2
+    and r21 y1 + r22 y2, the same products and sums as one 2x2 product per
+    lambda.
+    """
+    k = _block(rows.shape[1], len(s))
     m = np.empty((k, 2, 2, len(s)), dtype=complex)
     t = np.empty((2, 2, len(s)), dtype=complex)
     t0, t1 = t
     column = state[:, None]
-    for j0 in range(0, side.n, k):
-        a0, a1, b0, b1, c0, c1 = side.omega[:, j0:j0 + k, None]
-        o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
-        z = -(o11 * o11 + o12 * o21)
-        w = np.sqrt(z)
-        x, y = w.real, w.imag
-        sx, cx, shy, chy = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
-        cw, sw = np.empty_like(w), np.empty_like(w)
-        cw.real, cw.imag = cx * chy, -sx * shy
-        sw.real, sw.imag = sx * chy, cx * shy
-        small = x * x + y * y < _SERIES_Z
-        np.divide(sw, w, out=sw, where=~small)
-        zs = z[small]
-        cw[small] = 1 - zs * (1 / 2 - zs * (1 / 24 - zs * (1 / 720 - zs * (1 / 40320))))
-        sw[small] = 1 - zs * (1 / 6 - zs * (1 / 120 - zs * (1 / 5040 - zs * (1 / 362880))))
-        so11 = sw * o11
-        mb = m[:len(o11)]
-        np.add(cw, so11, out=mb[:, 0, 0])
-        np.multiply(sw, o21, out=mb[:, 0, 1])
-        np.multiply(sw, o12, out=mb[:, 1, 0])
-        np.subtract(cw, so11, out=mb[:, 1, 1])
-        for j, m_j in enumerate(mb, j0 + 1):
+    for j0 in range(0, rows.shape[1], k):
+        for j, m_j in enumerate(_step_matrices(rows[:, j0:j0 + k], s, m), j0 + 1):
             np.multiply(m_j, column, out=t)
             np.add(t0, t1, out=state)
             if out is not None:
                 out[j] = state
+
+
+def _fan_out(rows: np.ndarray, s: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(Omega) of column j - 1 of ``rows`` times the (2, batch)
+    ``state`` into out[j] for every column, a block of about ``_BLOCK``
+    entries at a time with the products and sums of :func:`_march`, and
+    leave the last one in ``state``."""
+    k = _block(rows.shape[1], len(s))
+    m = np.empty((k, 2, 2, len(s)), dtype=complex)
+    t = np.empty_like(m)
+    column = state[:, None]
+    for j0 in range(0, rows.shape[1], k):
+        mb = _step_matrices(rows[:, j0:j0 + k], s, m)
+        tb = t[:len(mb)]
+        np.multiply(mb, column, out=tb)
+        np.add(tb[:, 0], tb[:, 1], out=out[j0 + 1:j0 + 1 + len(mb)])
+    state[...] = out[rows.shape[1]]
+
+
+def _magnus_side(side: _Side, lam_rho: np.ndarray, state: np.ndarray, out=None) -> None:
+    """March one smooth side, in place, from the (2, batch) ``state`` at its
+    first node to its last node; given ``out`` (side.n + 1, 2, batch), also
+    write the state at every further node into it.
+
+    Without ``out`` the march takes one product per cell.  With it, a cell
+    of several steps writes every node from its first state in one
+    vectorised pass, and a stretch of one-step cells marches step by step.
+    The cell ends come from the same rows by the same operations either way,
+    so psi(0) has the same bits with and without a trajectory.
+    """
+    if out is None:
+        _march(side.end_omega, lam_rho, state)
+        return
+    for n0, n1, several in side.runs:
+        rows, nodes = side.cell_omega[:, n0:n1], out[n0:n1 + 1]
+        if several:
+            _fan_out(rows, lam_rho, state, nodes)
+        else:
+            _march(rows, lam_rho, state, nodes)
 
 
 def _sweep(grid: _Grid, lams: np.ndarray, init, endpoint: str, out=None) -> np.ndarray:

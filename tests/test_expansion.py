@@ -1,10 +1,12 @@
 """Inner product, expansion coefficients, Parseval defect, resolvent."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from diracbvp import eigensolver, expansion
+from diracbvp import eigensolver, expansion, integrator
 from diracbvp.errors import GridMismatchError, PoleError
-from diracbvp.model import PI
+from diracbvp.model import PI, Weight
 
 from conftest import reference_config
 
@@ -52,6 +54,16 @@ def test_grid_mismatch_detected(r0):
     f = constant_one(other)
     with pytest.raises(GridMismatchError):
         expansion.inner(r0, f, f)
+
+
+def test_an_element_on_a_nearby_grid_is_a_mismatch(r1):
+    # a jump moved by 1e-6 keeps the node count, and every node moves by at
+    # most 1e-6: closeness is not sameness, so the element is refused
+    shifted = dataclasses.replace(r1, weight=Weight(alpha=2.0, a=PI / 2.0 + 1e-6))
+    f = constant_one(shifted)
+    assert len(f.xs) == len(integrator.build_grid(r1).xs)
+    with pytest.raises(GridMismatchError):
+        expansion.inner(r1, f, f)
 
 
 def test_coefficients_pick_out_eigen_elements(r0, data8):
