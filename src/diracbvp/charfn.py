@@ -105,8 +105,9 @@ def seed_phase(config: ProblemConfig) -> float:
     return math.atan2(num, den)
 
 
-def asymptotic_seed(config: ProblemConfig, n: int) -> float:
-    """Closed-form eigenvalue seed for index n."""
+def asymptotic_seed(config: ProblemConfig, n: int | np.ndarray) -> float | np.ndarray:
+    """Closed-form eigenvalue seed for index n, or an array of seeds for an
+    array of indices."""
     mu_pi = mu(PI, config.weight)
     return (n + seed_phase(config) / PI) * PI / mu_pi
 

@@ -207,7 +207,7 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
     if n_min > n_max:
         raise ValueError(f"n_min = {n_min} exceeds n_max = {n_max}")
     ns = list(range(n_min, n_max + 1))
-    seeds = np.array([charfn.asymptotic_seed(config, n) for n in ns])
+    seeds = charfn.asymptotic_seed(config, np.arange(n_min, n_max + 1))
     s = PI / mu(PI, config.weight)
     lo, hi = seeds[0] - 0.75 * s, seeds[-1] + 0.75 * s
     for level in range(_SCAN_LEVELS):

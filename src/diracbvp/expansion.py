@@ -81,10 +81,9 @@ def _simpson_rule(grid):
     side, built once and kept on the grid."""
     if grid.simpson is None:
         w = np.zeros(len(grid.xs))
-        for side, start in ((grid.left, 0), (grid.right, grid.ia)):
-            w[start: start + side.n + 1] += side.rho * _simpson_weights(side.x_nodes)
-        grid.simpson = (w, _simpson_halves(grid.left.x_nodes),
-                        _simpson_halves(grid.right.x_nodes))
+        for start, xn, rho in grid.sides:
+            w[start: start + len(xn)] += rho * _simpson_weights(xn)
+        grid.simpson = (w, *(_simpson_halves(xn) for _, xn, _ in grid.sides))
     return grid.simpson
 
 
@@ -208,12 +207,11 @@ def _cumulative(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
     grid = integrator.build_grid(config)
     values = np.asarray(values, dtype=complex)
     steps = []
-    for side, start, halves in zip((grid.left, grid.right), (0, grid.ia),
-                                   _simpson_rule(grid)[1:]):
-        f = values[start: start + side.n + 1]
+    for (start, xn, rho), halves in zip(grid.sides, _simpson_rule(grid)[1:]):
+        f = values[start: start + len(xn)]
         per_pair = (halves[:, 0] * f[:-2:2] + halves[:, 1] * f[1::2]
                     + halves[:, 2] * f[2::2])
-        steps.append(side.rho * per_pair.T.ravel())
+        steps.append(rho * per_pair.T.ravel())
     return np.concatenate([[0.0], np.cumsum(np.concatenate(steps))])
 
 

@@ -10,26 +10,28 @@ cells: a run of steps on which the samples of p and q are one constant is one
 cell, and any other step is a cell of its own.  Omega over a whole constant
 cell is the same formula with the cell's length, so a cell is crossed in one
 exact product, and every node of it is one product with its first state.
-A batch of lambda values is swept forward, side by side, as one (2, batch)
-state, and the sweep returns the state it ends on.
-:func:`propagate_many` also writes every node into one (N+1, 2, batch) buffer
-allocated once and returns it as its (batch, N+1, 2) transpose, without a
-copy; a leftward propagation is the same sweep over reversed, negated cells
-into a reversed view of the buffer.  :func:`psi0_many` runs the same leftward
-sweep of psi and keeps only psi(0), which is all that Delta and the Weyl
-function read, so it takes one product per cell and its memory does not grow
-with the grid.  The sweep builds the matrices of a run of cells, or of the
-nodes of one cell, in one vectorised pass and then takes each cell's 2x2
-product for the whole batch in two ufunc calls; the run length bounds its
-temporaries and changes no value.  The scalar entry points run a batch of one
-through :func:`propagate`.
+The grid keeps one cell path per sweep direction over all of [0, pi], with
+the jump as a cell bound and each step's rho beside its rows.  A batch of
+lambda values is swept along a path as one (2, batch) state, and the sweep
+returns the state it ends on.  :func:`propagate_many` also writes every node
+into one (N+1, 2, batch) buffer allocated once and returns it as its
+(batch, N+1, 2) transpose, without a copy; a leftward propagation sweeps the
+leftward path, of reversed, negated cells, into a reversed view of the
+buffer.  :func:`psi0_many` runs the same leftward sweep of psi and keeps
+only psi(0), which is all that Delta and the Weyl function read, so it takes
+one product per cell and its memory does not grow with the grid.  The sweep
+builds the matrices of a run of cells, or of the nodes of one cell, in one
+vectorised pass (one pass for a piecewise psi(0)) and then takes each
+cell's 2x2 product for the whole batch in two ufunc calls; the run length
+bounds its temporaries and changes no value.  The scalar entry points run a
+batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,64 +74,63 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Side:
-    """One smooth side of the jump: its nodes, its cells and, per step, the
-    six lambda-independent rows (a0, a1, b0, b1, c0, c1) of
+class _Path:
+    """The cells of one sweep direction over [0, pi], in sweep order, and per
+    step its side's rho and the six lambda-independent rows
+    (a0, a1, b0, b1, c0, c1) of
     Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho.
 
-    A cell is a run of steps on which p and q are constant, or one step of
-    any other kind; ``cells`` holds its bounds as node indices.  Column j - 1
-    of ``cell_omega`` is Omega from node j's cell's first node to node j,
-    exact on a constant piece, so the state at every node of a cell is one
-    product with the state at its first node; ``back_omega`` holds the same
-    for the reversed side, in this side's step order.  A one-step cell's
-    columns are the step's rows (negated in ``back_omega``).
+    A cell is a run of steps on one side of the jump on which p and q are
+    constant, or one step of any other kind; ``cells`` holds its bounds as
+    node indices, so the jump is one of them.  Column j - 1 of
+    ``cell_omega`` is Omega from node j's cell's first node to node j, exact
+    on a constant piece, so the state at every node of a cell is one product
+    with the state at its first node.  A one-step cell's column is its
+    step's rows, negated on the leftward path.
     """
 
-    n: int
-    rho: float
-    x_nodes: np.ndarray
-    omega: np.ndarray        # (6, n)
-    cells: np.ndarray        # (number of cells + 1,) node indices, 0 to n
-    cell_omega: np.ndarray   # (6, n)
-    back_omega: np.ndarray   # (6, n)
-    #: rows from each cell's first node to its last, and the runs of the
-    #: side as (first node, last node, one cell of several steps)
+    cells: np.ndarray        # (number of cells + 1,) node indices, 0 to N
+    rho: np.ndarray          # (N,)
+    cell_omega: np.ndarray   # (6, N)
+    #: rows and rho from each cell's first node to its last
     end_omega: np.ndarray = field(init=False)
-    runs: list = field(init=False)
+    end_rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.end_omega = self.cell_omega[:, self.cells[1:] - 1]
-        several = np.diff(self.cells) > 1
-        # a run is one cell of several steps, or a stretch of one-step cells
-        first = np.flatnonzero(np.r_[True, several[1:] | several[:-1]])
-        edges = np.r_[self.cells[first], self.n]
-        self.runs = list(zip(edges[:-1].tolist(), edges[1:].tolist(),
-                             several[first].tolist()))
+        ends = self.cells[1:] - 1
+        self.end_omega, self.end_rho = self.cell_omega[:, ends], self.rho[ends]
 
-    def reversed(self) -> "_Side":
-        """The side seen from its right end: reversed steps, negated Omega."""
-        return _Side(n=self.n, rho=self.rho, x_nodes=self.x_nodes[::-1],
-                     omega=-self.omega[:, ::-1], cells=self.n - self.cells[::-1],
-                     cell_omega=self.back_omega[:, ::-1],
-                     back_omega=self.cell_omega[:, ::-1])
+    @cached_property
+    def runs(self) -> list:
+        """(first node, last node, one cell of several steps) of each run: a
+        cell of several steps, or a stretch of one-step cells."""
+        several = np.diff(self.cells) > 1
+        first = np.flatnonzero(np.concatenate([[True], several[1:] | several[:-1]]))
+        edges = np.append(self.cells[first], self.cells[-1])
+        return list(zip(edges[:-1].tolist(), edges[1:].tolist(),
+                        several[first].tolist()))
 
 
 @dataclass
 class _Grid:
+    """A problem's nodes, the jump's index and its two sweeps' cell paths."""
+
     xs: np.ndarray
     ia: int
-    left: _Side
-    right: _Side
-    #: the sides as a leftward sweep meets them, built once with the grid
-    left_reversed: _Side
-    right_reversed: _Side
+    forward: _Path
+    backward: _Path
     #: read-only results that depend only on the config and lambda, least
     #: recently used first; filled and bounded by ``expansion._memo``, and
     #: dropped with the grid by ``build_grid.cache_clear()``
     memo: OrderedDict = field(default_factory=OrderedDict)
     #: the grid's Simpson rule, built on first use by ``expansion._simpson_rule``
     simpson: tuple | None = None
+
+    @property
+    def sides(self) -> tuple:
+        """(first node index, nodes, rho) of each side of the jump."""
+        rho = self.forward.rho
+        return ((0, self.xs[:self.ia + 1], rho[0]), (self.ia, self.xs[self.ia:], rho[-1]))
 
 
 def _cuts(config: ProblemConfig) -> list:
@@ -171,23 +172,27 @@ def _omega_rows(h, p1, q1, p2, q2) -> np.ndarray:
     return np.array([a0, a1, d0 - j0, d1 - j1, d0 + j0, d1 + j1])
 
 
-def _make_side(config: ProblemConfig, x0: float, x1: float, n: int, rho: float) -> _Side:
+def _make_side(config: ProblemConfig, x0: float, x1: float, n: int):
+    """The nodes of one smooth side of the jump, its cell bounds, and per
+    step the (6, 2) rows of Omega from the node's cell start to the node and
+    from the node's cell end back to the node before it, unnegated."""
     xn = _side_nodes(x0, x1, n, _cuts(config))
     h = np.diff(xn)
     pot = config.potential
-    xa, xb = (xn[:-1] + g * h for g in _GAUSS)
-    samples = p1, q1, p2, q2 = pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb)
+    # one 1-D sample of p and one of q at both Gauss points of every step
+    xg = np.concatenate([xn[:-1] + g * h for g in _GAUSS])
+    (p1, p2), (q1, q2) = pot.p_at(xg).reshape(2, -1), pot.q_at(xg).reshape(2, -1)
     # a step opens a new cell unless it and the previous step are constant
     # with the same p and q; cell[i] is step i's cell, whose first and last
     # nodes are cells[cell[i]] and cells[cell[i] + 1]
     const = (p1 == p2) & (q1 == q2)
-    opens = ~np.r_[False, const[1:] & const[:-1] & (p1[1:] == p1[:-1]) & (q1[1:] == q1[:-1])]
-    cells = np.r_[np.flatnonzero(opens), len(h)]
+    opens = np.ones(len(h), dtype=bool)
+    opens[1:] = ~(const[1:] & const[:-1] & (p1[1:] == p1[:-1]) & (q1[1:] == q1[:-1]))
+    cells = np.append(np.flatnonzero(opens), len(h))
     cell = np.cumsum(opens) - 1
-    return _Side(n=len(h), rho=rho, x_nodes=xn, omega=_omega_rows(h, *samples),
-                 cells=cells,
-                 cell_omega=_omega_rows(xn[1:] - xn[cells[cell]], *samples),
-                 back_omega=-_omega_rows(xn[cells[cell + 1]] - xn[:-1], *samples))
+    # Omega from each node's cell start, and back from its cell end
+    lengths = np.stack([xn[1:] - xn[cells[cell]], xn[cells[cell + 1]] - xn[:-1]])
+    return xn, cells, _omega_rows(lengths, p1, q1, p2, q2)
 
 
 @lru_cache(maxsize=64)
@@ -197,28 +202,37 @@ def build_grid(config: ProblemConfig) -> _Grid:
     w = config.weight
     nl = max(64, int(round(config.grid_points * w.a / PI)))
     nr = max(64, config.grid_points - nl)
-    left = _make_side(config, 0.0, w.a, nl + nl % 2, 1.0)
-    right = _make_side(config, w.a, PI, nr + nr % 2, w.alpha)
-    xs = np.concatenate([left.x_nodes, right.x_nodes[1:]])
-    return _Grid(xs=xs, ia=left.n, left=left, right=right,
-                 left_reversed=left.reversed(), right_reversed=right.reversed())
+    (xl, cl, rl), (xr, cr, rr) = (_make_side(config, 0.0, w.a, nl + nl % 2),
+                                  _make_side(config, w.a, PI, nr + nr % 2))
+    ia, n = len(xl) - 1, len(xl) + len(xr) - 2
+    rho = np.repeat([1.0, w.alpha], [ia, n - ia])
+    cells = np.concatenate([cl, cr[1:] + ia])
+    rows = np.concatenate([rl, rr], axis=2)
+    # the leftward path meets the steps in reverse, with Omega negated
+    return _Grid(xs=np.concatenate([xl, xr[1:]]), ia=ia,
+                 forward=_Path(cells, rho, rows[:, 0]),
+                 backward=_Path(n - cells[::-1], rho[::-1], -rows[:, 1, ::-1]))
 
 
 # ---------------------------------------------------------------------------
 # Magnus sweeps
 # ---------------------------------------------------------------------------
 
-def _step_matrices(rows: np.ndarray, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """exp(Omega) of each of the k columns of ``rows`` at every s, written
-    into and returned as m[:k], m[j, 0] = (r11, r21), m[j, 1] = (r12, r22).
+def _step_matrices(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray,
+                   m: np.ndarray) -> np.ndarray:
+    """exp(Omega) of each of the k columns of ``rows`` at every lambda, with
+    s = lambda rho of the column, written into and returned as m[:k],
+    m[j, 0] = (r11, r21), m[j, 1] = (r12, r22).
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega, even
     in w, with z = w^2 = -(Omega11^2 + Omega12 Omega21).  With w = x + iy,
     cos(w) and sin(w) come from the real sin and cos of x and sinh and cosh
     of y, and sin(w) / w is one complex division; where |w|^2 < ``_SERIES_Z``
     both are series in z, so a matrix stays holomorphic in lambda at w = 0.
+    A block with no such entry takes no series.
     """
     a0, a1, b0, b1, c0, c1 = rows[:, :, None]
+    s = lams * rho[:, None]
     o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
     z = -(o11 * o11 + o12 * o21)
     w = np.sqrt(z)
@@ -228,10 +242,13 @@ def _step_matrices(rows: np.ndarray, s: np.ndarray, m: np.ndarray) -> np.ndarray
     cw.real, cw.imag = cx * chy, -sx * shy
     sw.real, sw.imag = sx * chy, cx * shy
     small = x * x + y * y < _SERIES_Z
-    np.divide(sw, w, out=sw, where=~small)
-    zs = z[small]
-    cw[small] = 1 - zs * (1 / 2 - zs * (1 / 24 - zs * (1 / 720 - zs * (1 / 40320))))
-    sw[small] = 1 - zs * (1 / 6 - zs * (1 / 120 - zs * (1 / 5040 - zs * (1 / 362880))))
+    if small.any():
+        np.divide(sw, w, out=sw, where=~small)
+        zs = z[small]
+        cw[small] = 1 - zs * (1 / 2 - zs * (1 / 24 - zs * (1 / 720 - zs * (1 / 40320))))
+        sw[small] = 1 - zs * (1 / 6 - zs * (1 / 120 - zs * (1 / 5040 - zs * (1 / 362880))))
+    else:
+        np.divide(sw, w, out=sw)
     so11 = sw * o11
     mb = m[:len(o11)]
     np.add(cw, so11, out=mb[:, 0, 0])
@@ -246,7 +263,8 @@ def _block(count: int, batch: int) -> int:
     return min(count, max(1, _BLOCK // max(1, batch)))
 
 
-def _march(rows: np.ndarray, s: np.ndarray, state: np.ndarray, out=None) -> None:
+def _march(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray, state: np.ndarray,
+           out=None) -> None:
     """Multiply the (2, batch) ``state``, in place, by exp(Omega) of each
     column of ``rows`` in turn; given ``out``, write the state after column
     j - 1 into out[j].
@@ -259,73 +277,55 @@ def _march(rows: np.ndarray, s: np.ndarray, state: np.ndarray, out=None) -> None
     and r21 y1 + r22 y2, the same products and sums as one 2x2 product per
     lambda.
     """
-    k = _block(rows.shape[1], len(s))
-    m = np.empty((k, 2, 2, len(s)), dtype=complex)
-    t = np.empty((2, 2, len(s)), dtype=complex)
+    k = _block(rows.shape[1], len(lams))
+    m = np.empty((k, 2, 2, len(lams)), dtype=complex)
+    t = np.empty((2, 2, len(lams)), dtype=complex)
     t0, t1 = t
     column = state[:, None]
     for j0 in range(0, rows.shape[1], k):
-        for j, m_j in enumerate(_step_matrices(rows[:, j0:j0 + k], s, m), j0 + 1):
+        mb = _step_matrices(rows[:, j0:j0 + k], rho[j0:j0 + k], lams, m)
+        for j, m_j in enumerate(mb, j0 + 1):
             np.multiply(m_j, column, out=t)
             np.add(t0, t1, out=state)
             if out is not None:
                 out[j] = state
 
 
-def _fan_out(rows: np.ndarray, s: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+def _fan_out(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray, state: np.ndarray,
+             out: np.ndarray) -> None:
     """Write exp(Omega) of column j - 1 of ``rows`` times the (2, batch)
     ``state`` into out[j] for every column, a block of about ``_BLOCK``
     entries at a time with the products and sums of :func:`_march`, and
     leave the last one in ``state``."""
-    k = _block(rows.shape[1], len(s))
-    m = np.empty((k, 2, 2, len(s)), dtype=complex)
+    k = _block(rows.shape[1], len(lams))
+    m = np.empty((k, 2, 2, len(lams)), dtype=complex)
     t = np.empty_like(m)
     column = state[:, None]
     for j0 in range(0, rows.shape[1], k):
-        mb = _step_matrices(rows[:, j0:j0 + k], s, m)
+        mb = _step_matrices(rows[:, j0:j0 + k], rho[j0:j0 + k], lams, m)
         tb = t[:len(mb)]
         np.multiply(mb, column, out=tb)
         np.add(tb[:, 0], tb[:, 1], out=out[j0 + 1:j0 + 1 + len(mb)])
     state[...] = out[rows.shape[1]]
 
 
-def _magnus_side(side: _Side, lam_rho: np.ndarray, state: np.ndarray, out=None) -> None:
-    """March one smooth side, in place, from the (2, batch) ``state`` at its
-    first node to its last node; given ``out`` (side.n + 1, 2, batch), also
-    write the state at every further node into it.
-
-    Without ``out`` the march takes one product per cell.  With it, a cell
-    of several steps writes every node from its first state in one
-    vectorised pass, and a stretch of one-step cells marches step by step.
-    The cell ends come from the same rows by the same operations either way,
-    so psi(0) has the same bits with and without a trajectory.
-    """
-    if out is None:
-        _march(side.end_omega, lam_rho, state)
-        return
-    for n0, n1, several in side.runs:
-        rows, nodes = side.cell_omega[:, n0:n1], out[n0:n1 + 1]
-        if several:
-            _fan_out(rows, lam_rho, state, nodes)
-        else:
-            _march(rows, lam_rho, state, nodes)
-
-
-def _sweep(grid: _Grid, lams: np.ndarray, init, endpoint: str, out=None) -> np.ndarray:
-    """Sweep both sides from the (2, batch) state ``init`` at ``endpoint`` and
-    return the (2, batch) state at the other end; given ``out`` (N+1, 2, batch)
-    in sweep order, also write every further node into it.  Leftward is the
-    same sweep over reversed, negated steps."""
-    if endpoint == "left":
-        first, second = grid.left, grid.right
-    else:
-        first, second = grid.right_reversed, grid.left_reversed
-    outs = (None, None) if out is None else (out[:first.n + 1], out[first.n:])
+def _sweep(path: _Path, lams: np.ndarray, init, out=None) -> np.ndarray:
+    """Sweep ``path`` from the (2, batch) state ``init`` and return the state
+    it ends on, taking one product per cell; given ``out`` (N+1, 2, batch)
+    in sweep order, also write every further node into it, a cell of several
+    steps from its first state in one vectorised pass and a stretch of
+    one-step cells step by step.  The cell ends come from the same rows by
+    the same operations either way, so psi(0) has the same bits with and
+    without a trajectory."""
     state = np.array(init, dtype=complex, order="C")
     # non-finite states are detected and reported by the caller; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _magnus_side(first, lams * first.rho, state, outs[0])
-        _magnus_side(second, lams * second.rho, state, outs[1])
+        if out is None:
+            _march(path.end_omega, path.end_rho, lams, state)
+            return state
+        for n0, n1, several in path.runs:
+            walk = _fan_out if several else _march
+            walk(path.cell_omega[:, n0:n1], path.rho[n0:n1], lams, state, out[n0:n1 + 1])
     return state
 
 
@@ -353,9 +353,9 @@ def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
 
     # a leftward sweep fills the buffer from its end
     buf = np.empty((len(grid.xs), 2, len(lams)), dtype=complex)
-    view = buf if endpoint == "left" else buf[::-1]
+    path, view = (grid.forward, buf) if endpoint == "left" else (grid.backward, buf[::-1])
     view[0].T[...] = inits
-    _check_finite(lams, _sweep(grid, lams, view[0], endpoint, view).T)
+    _check_finite(lams, _sweep(path, lams, view[0], view).T)
     return grid.xs, buf.transpose(2, 0, 1), grid.ia
 
 
@@ -364,7 +364,7 @@ def psi0_many(config: ProblemConfig, lams) -> np.ndarray:
     without keeping the trajectory."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = psi_init(config, lams)
-    psi0 = _sweep(build_grid(config), lams, inits.T, "right").T
+    psi0 = _sweep(build_grid(config).backward, lams, inits.T).T
     _check_finite(lams, psi0)
     return psi0
 

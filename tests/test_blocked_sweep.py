@@ -21,11 +21,20 @@ POTENTIALS = {
 PROBE = np.array([1.0, 3.3 + 1.2j, -7.1 - 0.4j])
 
 
-def _stepwise_side(side, lam_rho, out):
+def _step_rows(config, xn):
+    """Each step's Omega rows, from the nodes ``xn`` of one side of the jump
+    and p and q at the step's two Gauss points."""
+    h = np.diff(xn)
+    pot = config.potential
+    xa, xb = (xn[:-1] + g * h for g in integrator._GAUSS)
+    return integrator._omega_rows(h, pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb))
+
+
+def _stepwise_side(rows, lam_rho, out):
     """One Magnus step matrix and one product per step, in that order."""
     s = lam_rho
     y1, y2 = out[:, 0, 0], out[:, 0, 1]
-    for j, (a0, a1, b0, b1, c0, c1) in enumerate(side.omega.T, 1):
+    for j, (a0, a1, b0, b1, c0, c1) in enumerate(rows.T, 1):
         o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
         w = np.sqrt(-(o11 * o11 + o12 * o21))
         cw, sw = np.cos(w), np.sinc(w / np.pi)
@@ -41,16 +50,22 @@ def _inits(config, lams, endpoint):
 
 
 def _stepwise(config, lams, endpoint):
+    """The sweep side by side, one step at a time; leftward, each side's
+    steps are reversed and their rows negated."""
     lams = np.asarray(lams, dtype=complex)
     grid = integrator.build_grid(config)
+    ia = grid.ia
     ys = np.empty((len(lams), len(grid.xs), 2), dtype=complex)
-    if endpoint == "left":
-        view, first, second = ys, grid.left, grid.right
-    else:
-        view, first, second = ys[:, ::-1], grid.right.reversed(), grid.left.reversed()
+    sides = [(_step_rows(config, grid.xs[:ia + 1]), 1.0),
+             (_step_rows(config, grid.xs[ia:]), config.weight.alpha)]
+    view = ys
+    if endpoint == "right":
+        view, sides = ys[:, ::-1], [(-rows[:, ::-1], rho) for rows, rho in sides[::-1]]
     view[:, 0] = _inits(config, lams, endpoint)
-    _stepwise_side(first, lams * first.rho, view[:, :first.n + 1])
-    _stepwise_side(second, lams * second.rho, view[:, first.n:])
+    (rows1, rho1), (rows2, rho2) = sides
+    n1 = rows1.shape[1]
+    _stepwise_side(rows1, lams * rho1, view[:, :n1 + 1])
+    _stepwise_side(rows2, lams * rho2, view[:, n1:])
     return ys
 
 
@@ -67,8 +82,12 @@ def _sweep(config, lams, endpoint):
 @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
 @pytest.mark.parametrize("batch", [1, 7, 400, 5000])
 def test_blocked_sweep_matches_the_stepwise_sweep(endpoint, kind, imag, batch):
-    # grid 128 gives 64 steps a side: one block a side at batch 1 and 7,
-    # blocks of 10 with a partial last one at 400, one step each at 5000
+    # grid 128 gives 64 steps a side.  The cosine cases march one run of 128
+    # one-step cells across the jump: one block at batch 1 and 7, blocks of
+    # 10 with a partial last one at 400, one step each at 5000.  The
+    # piecewise cases write the nodes of each of their 4 cells (42, 22, 22
+    # and 42 steps) from its first state: one block a cell at batch 1 and 7,
+    # blocks of 10 with a partial last one at 400, one node each at 5000
     config = reference_config(2.0, 128, POTENTIALS[kind])
     lams = _lams(batch, imag)
     ys = _sweep(config, lams, endpoint)

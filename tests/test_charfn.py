@@ -95,6 +95,13 @@ def test_seed_ladder_spacing(r0, r1):
             == pytest.approx(2.0 / 3.0))
 
 
+def test_a_seed_ladder_is_one_expression(r1):
+    # the array of seeds has the bits of the seeds one index at a time
+    ns = np.arange(-30, 31)
+    assert np.array_equal(charfn.asymptotic_seed(r1, ns),
+                          [charfn.asymptotic_seed(r1, int(n)) for n in ns])
+
+
 def test_seed_phase_for_mixed_boundary_pair():
     # b = (0,-1,1,0) against c = (1,0,0,1): the ladder shifts by half a step
     cfg = ProblemConfig(

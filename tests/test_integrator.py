@@ -17,14 +17,14 @@ def test_grid_has_node_exactly_at_jump(r1):
     assert grid.xs[-1] == pytest.approx(PI, abs=1e-15)
     assert grid.xs[grid.ia] == r1.weight.a
     assert np.all(np.diff(grid.xs) > 0)
-    assert grid.left.n % 2 == 0 and grid.right.n % 2 == 0
-    assert grid.left.n >= 64 and grid.right.n >= 64
+    sides = grid.ia, len(grid.xs) - 1 - grid.ia
+    assert all(n % 2 == 0 and n >= 64 for n in sides)
 
 
 def test_grid_respects_minimum_side_resolution():
     cfg = reference_config(grid_points=16)
     grid = integrator.build_grid(cfg)
-    assert grid.left.n >= 64 and grid.right.n >= 64
+    assert grid.ia >= 64 and len(grid.xs) - 1 - grid.ia >= 64
 
 
 def zero_potential_state(cfg, lam, x, init):

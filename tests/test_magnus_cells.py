@@ -18,25 +18,35 @@ from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
                             Weight)
 
 from conftest import reference_config
+from test_blocked_sweep import _step_rows
 
 BOUNDARY = BoundaryParams(1.0, -0.5, 1.0, 0.3, 0.5, -1.0, 1.0, 0.2)
 
 
 @pytest.mark.parametrize("potential, cells", [
-    (PotentialSpec.piecewise((0.3, -0.45, 0.2), (-0.1, 0.35, -0.25)), 2),
-    (PotentialSpec.zero(), 1),
+    (PotentialSpec.piecewise((0.3, -0.45, 0.2), (-0.1, 0.35, -0.25)), 4),
+    (PotentialSpec.zero(), 2),
     (PotentialSpec.cosine((0.2, -0.3, 0.1), (0.4, 0.15)), None),
 ], ids=["three-segments", "zero", "cosine"])
 def test_cells_of_a_side(potential, cells):
-    grid = integrator.build_grid(reference_config(2.0, 256, potential))
-    for side in (grid.left, grid.right, grid.left_reversed, grid.right_reversed):
-        expected = side.n if cells is None else cells
-        assert len(side.cells) - 1 == expected
-        assert side.cells[0] == 0 and side.cells[-1] == side.n
-        assert side.end_omega.shape == (6, expected)
-        # a one-step cell keeps its step's rows
-        if cells is None:
-            assert np.array_equal(side.cell_omega, side.omega)
+    # each path crosses both sides, and the jump is one of its cell bounds
+    config = reference_config(2.0, 256, potential)
+    grid = integrator.build_grid(config)
+    n = len(grid.xs) - 1
+    expected = n if cells is None else cells
+    for path, jump in ((grid.forward, grid.ia), (grid.backward, n - grid.ia)):
+        assert len(path.cells) - 1 == expected
+        assert path.cells[0] == 0 and path.cells[-1] == n and jump in path.cells
+        assert path.end_omega.shape == (6, expected)
+        assert np.array_equal(path.end_rho, path.rho[path.cells[1:] - 1])
+    assert np.array_equal(grid.forward.rho, np.repeat([1.0, 2.0], [grid.ia, n - grid.ia]))
+    assert np.array_equal(grid.backward.rho, grid.forward.rho[::-1])
+    if cells is None:
+        # a one-step cell keeps its step's rows, reversed and negated leftward
+        steps = np.concatenate([_step_rows(config, grid.xs[:grid.ia + 1]),
+                                _step_rows(config, grid.xs[grid.ia:])], axis=1)
+        assert np.array_equal(grid.forward.cell_omega, steps)
+        assert np.array_equal(grid.backward.cell_omega, -steps[:, ::-1])
 
 
 def _closed_form_delta(config, lams):
