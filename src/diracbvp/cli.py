@@ -126,7 +126,9 @@ def cmd_weyl(args) -> int:
         "series_order": "symmetric, outermost indices first",
         "config": config_to_dict(config)})
     data = eigensolver.find_eigenvalues(config, -args.n_terms, args.n_terms)
-    lams = np.array([complex(r, i) for i in ims for r in res])
+    lams = np.empty(ims.size * res.size, complex)   # im-major, as the rows are written
+    lams.real = np.tile(res, ims.size)
+    lams.imag = np.repeat(ims, res.size)
     ms = weyl._direct_many(config, lams)[0]
     gap = ms - weyl.weyl_series(config, lams, data)
     _write_csv(out / "weyl.csv",

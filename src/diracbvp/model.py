@@ -12,9 +12,9 @@ Omega = [[p, q], [q, -p]].
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -193,23 +193,51 @@ class ProblemConfig:
 
 # ---------------------------------------------------------------------------
 # Data files: the one JSON and CSV format of the package.  A real is written as
-# its repr, the shortest text that reads back to the same float.
+# its repr, the shortest text that reads back to the same float.  Each file's
+# text is built whole, then written in one call.
 # ---------------------------------------------------------------------------
 
 def _write_json(path, doc) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+# A field with one of these would need csv quoting, which this format never uses.
+_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_fields(column) -> list:
+    """The text of each value of ``column``, as ``csv.writer`` writes it: a
+    float64 as its repr, formatted once per distinct bit pattern (so -0.0 stays
+    apart from 0.0), anything else as ``str`` of its ``tolist()`` value."""
+    values = np.asarray(column)
+    if values.dtype == np.float64:
+        bits, where = np.unique(values.view(np.int64), return_inverse=True)
+        texts = [repr(v) for v in bits.view(np.float64).tolist()]
+        return np.array(texts, dtype=object)[where].tolist()
+    return _unquoted([str(v) for v in values.tolist()])
+
+
+def _unquoted(fields: list) -> list:
+    for field in fields:
+        if _QUOTED.search(field):
+            raise ValueError(f"CSV field {field!r} would need quoting")
+    return fields
 
 
 def _write_csv(path, header, columns) -> None:
-    """A header, then the rows of the equal-length ``columns``; ``tolist()``
-    makes each a list of Python floats, ints or strs before the file opens."""
-    rows = list(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
+    """A header, then the rows of the equal-length ``columns``.  The whole text
+    is built, and checked, before the file opens: columns of unequal length, a
+    field holding ``,``, ``"``, CR or LF, or an empty line (which a reader takes
+    for a row of no fields) raise ValueError and write nothing."""
+    rows = zip(*map(_csv_fields, columns), strict=True)
+    lines = [",".join(_unquoted([str(h) for h in header])), *map(",".join, rows)]
+    if "" in lines:
+        raise ValueError("a CSV line would be empty")
+    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def _read_json(path):

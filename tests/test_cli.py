@@ -3,6 +3,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from dataclasses import replace
 
@@ -223,6 +224,20 @@ def test_weyl_samples_the_upper_half_plane(tmp_path, config_path):
     assert float(rows[1][2]) == pytest.approx(0.0, abs=1e-8)
     assert float(rows[1][3]) == pytest.approx(-0.5, abs=1e-8)
     assert float(rows[1][4]) < 1e-2
+
+
+def test_weyl_grid_keeps_the_bits_of_its_points(tmp_path, config_path):
+    out = tmp_path / "out"
+    assert cli.main(["weyl", "--config", str(config_path), "--re-min", "-1",
+                     "--re-max", "1", "--re-steps", "5", "--im-min", "-1",
+                     "--im-max", "2", "--im-steps", "2", "--n-terms", "2",
+                     "--out", str(out)]) == 0
+    res, ims = np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 2.0, 2)
+    assert 0.0 in res
+    want = np.array([complex(r, i) for i in ims for r in res])
+    rows = read_csv(out / "weyl.csv")[1:]
+    got = np.array([[float(r[0]), float(r[1])] for r in rows])
+    assert got.view(np.int64).tolist() == np.c_[want.real, want.imag].view(np.int64).tolist()
 
 
 def test_weyl_that_overflows_writes_no_table(tmp_path, config_path, capsys):

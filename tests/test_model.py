@@ -1,7 +1,10 @@
 """Problem-definition layer: validation, weight geometry, serialization."""
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diracbvp.errors import ConfigError, DomainError
 from diracbvp.model import (PI, BoundaryParams, PotentialSpec, ProblemConfig,
@@ -152,6 +155,60 @@ def test_csv_writer_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "t.csv", ["x", "n"], [[0.5, 1.5], [1]])
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "a\rb", "a\nb"])
+def test_csv_writer_rejects_a_field_csv_would_quote(tmp_path, field):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        _write_csv(path, ["x", "s"], [[0.5], [field]])
+    with pytest.raises(ValueError):
+        _write_csv(path, ["x", field], [[0.5], ["s"]])
+    assert not path.exists()
+
+
+# Repeats, signed zeros, nan, infinities, the least subnormal, and both sides of
+# repr's switches between fixed and exponent notation at 1e-4 and 1e16.
+_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                           5e-324, 1e-4, 9.999999999999999e-05, 1e16,
+                           9999999999999998.0, 0.1]) | st.floats()
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(0, 60))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1, max_size=4)):
+        if kind == "float":
+            pool = draw(st.lists(_FLOATS, min_size=1, max_size=6))
+            values = st.sampled_from(pool) | _FLOATS
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float))
+        elif kind == "int":
+            values = st.integers(-2**63, 2**63 - 1)
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            values = st.text(st.characters(exclude_categories=("Cs",),
+                                           exclude_characters=',"\r\n'), max_size=4)
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=str))
+    return columns
+
+
+@settings(max_examples=100)
+@given(columns=csv_tables())
+def test_csv_writer_writes_the_bytes_of_csv_writer(tmp_path_factory, columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    if '"' in buf.getvalue():   # csv quoted a lone empty field
+        with pytest.raises(ValueError):
+            _write_csv(path, header, columns)
+        assert not path.exists()
+    else:
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_json_writer_pins_its_bytes(tmp_path):
