@@ -10,16 +10,20 @@ cells: a run of steps on which the samples of p and q are one constant is one
 cell, and any other step is a cell of its own.  Omega over a whole constant
 cell is the same formula with the cell's length, so a cell is crossed in one
 exact product, and every node of it is one product with its first state.
-The grid keeps one cell path per sweep direction over all of [0, pi], with
-the jump as a cell bound and each step's rho beside its rows.  A batch of
-lambda values is swept along a path as one (2, batch) state, and the sweep
-returns the state it ends on.  :func:`propagate_many` also writes every node
-into one (N+1, 2, batch) buffer allocated once and returns it as its
-(batch, N+1, 2) transpose, without a copy; a leftward propagation sweeps the
-leftward path, of reversed, negated cells, into a reversed view of the
-buffer.  :func:`psi0_many` runs the same leftward sweep of psi and keeps
-only psi(0), which is all that Delta and the Weyl function read, so it takes
-one product per cell and its memory does not grow with the grid.  The sweep
+The grid is built in one pass over [0, pi]: one sample of p and one of q at
+the Gauss points of every step, and one cell detection with the jump as a
+cell bound.  It keeps one cell path per sweep direction, with each step's
+rho and samples; a path builds its Omega rows on first use, those of the
+cell ends for a psi(0) sweep and those of every node only for a
+trajectory.  A batch of lambda values is swept along a path as one
+(2, batch) state, and the sweep returns the state it ends on.
+:func:`propagate_many` also writes every node into one (N+1, 2, batch)
+buffer allocated once and returns it as its (batch, N+1, 2) transpose,
+without a copy; a leftward propagation sweeps the leftward path, of
+reversed, negated cells, into a reversed view of the buffer.
+:func:`psi0_many` runs the same leftward sweep of psi and keeps only psi(0),
+which is all that Delta and the Weyl function read, so it takes one product
+per cell and its memory does not grow with the grid.  The sweep
 builds the matrices of a run of cells, or of the nodes of one cell, in one
 vectorised pass (one pass for a piecewise psi(0)) and then takes each
 cell's 2x2 product for the whole batch in two ufunc calls; the run length
@@ -35,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import IntegrationOverflowError
+from .errors import ConfigError, IntegrationOverflowError
 from .model import PI, ProblemConfig, _check_domain, _write_csv
 
 #: offsets of the two Gauss points of a step, in units of its length
@@ -75,30 +79,52 @@ class Trajectory:
 
 @dataclass
 class _Path:
-    """The cells of one sweep direction over [0, pi], in sweep order, and per
-    step its side's rho and the six lambda-independent rows
-    (a0, a1, b0, b1, c0, c1) of
-    Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho.
+    """The cells of one sweep direction over [0, pi], in sweep order: the
+    nodes, and per step its side's rho and its samples (p1, q1, p2, q2) of
+    p and q at its two Gauss points, in the order of increasing x.
 
     A cell is a run of steps on one side of the jump on which p and q are
     constant, or one step of any other kind; ``cells`` holds its bounds as
-    node indices, so the jump is one of them.  Column j - 1 of
-    ``cell_omega`` is Omega from node j's cell's first node to node j, exact
-    on a constant piece, so the state at every node of a cell is one product
-    with the state at its first node.  A one-step cell's column is its
-    step's rows, negated on the leftward path.
+    node indices, so the jump is one of them.  A column of rows is the six
+    lambda-independent rows (a0, a1, b0, b1, c0, c1) of
+    Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho,
+    over a stretch of one cell, from one of its steps' samples; it is
+    negated on the leftward path.  The rows are built on first use: the
+    cell ends by a psi(0) sweep, every node only by a trajectory.
     """
 
+    xs: np.ndarray           # (N+1,)
     cells: np.ndarray        # (number of cells + 1,) node indices, 0 to N
     rho: np.ndarray          # (N,)
-    cell_omega: np.ndarray   # (6, N)
-    #: rows and rho from each cell's first node to its last
-    end_omega: np.ndarray = field(init=False)
-    end_rho: np.ndarray = field(init=False)
+    samples: tuple           # four (N,) arrays
+    leftward: bool
 
-    def __post_init__(self):
-        ends = self.cells[1:] - 1
-        self.end_omega, self.end_rho = self.cell_omega[:, ends], self.rho[ends]
+    def _omega(self, steps: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Rows from node ``starts`` to the far node of each of ``steps``,
+        with that step's samples."""
+        # a rounded difference changes only its sign when its terms swap, so
+        # both paths take a cell's length with the same bits
+        rows = _omega_rows(np.abs(self.xs[steps + 1] - self.xs[starts]),
+                           *(s[steps] for s in self.samples))
+        return -rows if self.leftward else rows
+
+    @cached_property
+    def end_omega(self) -> np.ndarray:
+        """(6, number of cells): rows over each whole cell, from its last step."""
+        return self._omega(self.cells[1:] - 1, self.cells[:-1])
+
+    @cached_property
+    def end_rho(self) -> np.ndarray:
+        return self.rho[self.cells[1:] - 1]
+
+    @cached_property
+    def cell_omega(self) -> np.ndarray:
+        """(6, N): column j - 1 is Omega from node j's cell's first node to
+        node j, exact on a constant piece, so the state at every node of a
+        cell is one product with the state at its first node.  A one-step
+        cell's column is its step's rows."""
+        return self._omega(np.arange(len(self.rho)),
+                           np.repeat(self.cells[:-1], np.diff(self.cells)))
 
     @cached_property
     def runs(self) -> list:
@@ -172,46 +198,42 @@ def _omega_rows(h, p1, q1, p2, q2) -> np.ndarray:
     return np.array([a0, a1, d0 - j0, d1 - j1, d0 + j0, d1 + j1])
 
 
-def _make_side(config: ProblemConfig, x0: float, x1: float, n: int):
-    """The nodes of one smooth side of the jump, its cell bounds, and per
-    step the (6, 2) rows of Omega from the node's cell start to the node and
-    from the node's cell end back to the node before it, unnegated."""
-    xn = _side_nodes(x0, x1, n, _cuts(config))
-    h = np.diff(xn)
-    pot = config.potential
-    # one 1-D sample of p and one of q at both Gauss points of every step
-    xg = np.concatenate([xn[:-1] + g * h for g in _GAUSS])
-    (p1, p2), (q1, q2) = pot.p_at(xg).reshape(2, -1), pot.q_at(xg).reshape(2, -1)
-    # a step opens a new cell unless it and the previous step are constant
-    # with the same p and q; cell[i] is step i's cell, whose first and last
-    # nodes are cells[cell[i]] and cells[cell[i] + 1]
-    const = (p1 == p2) & (q1 == q2)
-    opens = np.ones(len(h), dtype=bool)
-    opens[1:] = ~(const[1:] & const[:-1] & (p1[1:] == p1[:-1]) & (q1[1:] == q1[:-1]))
-    cells = np.append(np.flatnonzero(opens), len(h))
-    cell = np.cumsum(opens) - 1
-    # Omega from each node's cell start, and back from its cell end
-    lengths = np.stack([xn[1:] - xn[cells[cell]], xn[cells[cell + 1]] - xn[:-1]])
-    return xn, cells, _omega_rows(lengths, p1, q1, p2, q2)
-
-
 @lru_cache(maxsize=64)
 def build_grid(config: ProblemConfig) -> _Grid:
     """The one integration grid of a problem: a node exactly at the jump and
-    at every potential breakpoint, an even count of equal steps per piece."""
+    at every potential breakpoint, an even count of equal steps per piece.
+    p and q are sampled once each, at both Gauss points of every step; a
+    sample that is not finite raises :class:`ConfigError` at its x."""
     w = config.weight
     nl = max(64, int(round(config.grid_points * w.a / PI)))
     nr = max(64, config.grid_points - nl)
-    (xl, cl, rl), (xr, cr, rr) = (_make_side(config, 0.0, w.a, nl + nl % 2),
-                                  _make_side(config, w.a, PI, nr + nr % 2))
-    ia, n = len(xl) - 1, len(xl) + len(xr) - 2
+    cuts = _cuts(config)
+    xl = _side_nodes(0.0, w.a, nl + nl % 2, cuts)
+    xs = np.concatenate([xl, _side_nodes(w.a, PI, nr + nr % 2, cuts)[1:]])
+    ia, n = len(xl) - 1, len(xs) - 1
+    h = np.diff(xs)
+    xg = np.concatenate([xs[:-1] + g * h for g in _GAUSS])
+    pot = config.potential
+    # a sample that overflows is reported below, at its x
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = pot.p_at(xg), pot.q_at(xg)
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        x = float(xg[~(np.isfinite(p) & np.isfinite(q))].min())
+        raise ConfigError(f"potential p or q is not finite at x = {x!r}")
+    (p1, p2), (q1, q2) = p.reshape(2, -1), q.reshape(2, -1)
+    # a step opens a new cell at the jump, and elsewhere unless it and the
+    # previous step are constant with the same p and q
+    const = (p1 == p2) & (q1 == q2)
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = ~(const[1:] & const[:-1] & (p1[1:] == p1[:-1]) & (q1[1:] == q1[:-1]))
+    opens[ia] = True
+    cells = np.append(np.flatnonzero(opens), n)
     rho = np.repeat([1.0, w.alpha], [ia, n - ia])
-    cells = np.concatenate([cl, cr[1:] + ia])
-    rows = np.concatenate([rl, rr], axis=2)
+    samples = (p1, q1, p2, q2)
     # the leftward path meets the steps in reverse, with Omega negated
-    return _Grid(xs=np.concatenate([xl, xr[1:]]), ia=ia,
-                 forward=_Path(cells, rho, rows[:, 0]),
-                 backward=_Path(n - cells[::-1], rho[::-1], -rows[:, 1, ::-1]))
+    return _Grid(xs=xs, ia=ia, forward=_Path(xs, cells, rho, samples, False),
+                 backward=_Path(xs[::-1], n - cells[::-1], rho[::-1],
+                                tuple(s[::-1] for s in samples), True))
 
 
 # ---------------------------------------------------------------------------

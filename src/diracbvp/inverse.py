@@ -9,7 +9,8 @@ Delta from one sign scan of the targets' windows, refined like the
 eigensolver's, and each root goes to one target only, the nearest.  A target
 with no root within half a spacing, or whose root went to another target,
 contributes a penalty residual instead of raising, and so does every target
-when Delta overflows in the windows; the objective stays total.
+when Delta, or the candidate potential on its grid, overflows; the objective
+stays total.
 """
 from __future__ import annotations
 
@@ -139,7 +140,8 @@ def residuals(problem: InverseProblem, params) -> np.ndarray:
     """Weighted data residuals of a candidate potential; an unmatched target,
     or one whose match has no finite positive alpha, contributes
     sqrt(w * penalty) for lambda and 0 for alpha.  Every target is unmatched
-    when the propagation overflows in the targets' windows."""
+    when the propagation overflows in the targets' windows, or the candidate
+    potential is not finite on its grid."""
     config = problem.make_config(params)
     targets = problem.target.lambdas()
     alphas_star = problem.target.alphas()
@@ -148,8 +150,9 @@ def residuals(problem: InverseProblem, params) -> np.ndarray:
 
     try:
         roots, alphas = _match_roots(config, targets, half)
-    except IntegrationOverflowError:
-        # Delta overflows in the targets' windows: no target has a match
+    except (IntegrationOverflowError, ConfigError):
+        # Delta overflows in the targets' windows, or the candidate's p or q
+        # does on its grid: no target has a match
         roots = alphas = np.full(len(targets), np.nan)
     # a norming constant is positive; a match without one is no eigenvalue
     ok = np.isfinite(alphas) & (alphas > 0.0)

@@ -3,15 +3,21 @@
 The grid keeps the cells of a rightward and of a leftward sweep over all of
 [0, pi], each step with its side's rho.  A psi(0) sweep of a piecewise
 potential is then one build of its few cell matrices, a new config's grid
-samples p and q once each per side of the jump, and a block of matrices
-sums the small-|w| series only where one of its entries needs it, without
-changing the bits of the others.
+samples p and q once each, a psi(0)-only solve builds the rows of the cell
+ends and never those of every node, and a block of matrices sums the
+small-|w| series only where one of its entries needs it, without changing
+the bits of the others.
 """
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diracbvp import integrator
-from diracbvp.model import PotentialSpec
+from diracbvp import charfn, eigensolver, integrator, inverse, weyl
+from diracbvp.errors import ConfigError
+from diracbvp.model import PI, PotentialSpec, ProblemConfig, Weight
 
 from conftest import reference_config
 
@@ -40,7 +46,7 @@ def test_a_piecewise_psi0_sweep_is_one_matrix_build(monkeypatch):
     PotentialSpec.cosine((0.2, -0.3, 0.1), (0.4, 0.15)),
     PotentialSpec.from_callables(lambda x: 0.3 * np.sin(x), lambda x: np.cos(2.0 * x)),
 ], ids=["piecewise", "cosine", "callable"])
-def test_a_new_grid_samples_p_and_q_once_a_side(monkeypatch, potential):
+def test_a_new_grid_samples_p_and_q_once_per_grid(monkeypatch, potential):
     calls = []
 
     def spy(name):
@@ -55,7 +61,94 @@ def test_a_new_grid_samples_p_and_q_once_a_side(monkeypatch, potential):
         monkeypatch.setattr(PotentialSpec, name, spy(name))
     # the build a new config gets, past the grid cache
     integrator.build_grid.__wrapped__(reference_config(2.0, 256, potential))
-    assert sorted(calls) == [("p_at", 1)] * 2 + [("q_at", 1)] * 2
+    assert sorted(calls) == [("p_at", 1), ("q_at", 1)]
+
+
+def test_a_psi0_only_solve_builds_no_per_node_rows(monkeypatch):
+    widths = []
+
+    def spy(h, *samples):
+        widths.append(np.shape(h)[-1])
+        return build(h, *samples)
+
+    build = integrator._omega_rows
+    monkeypatch.setattr(integrator, "_omega_rows", spy)
+    # grid points no other test uses, so the grid is new
+    config = reference_config(2.0, 250, THREE)
+    data = eigensolver.find_eigenvalues(config, -4, 4)
+    grid = integrator.build_grid(config)
+    # one build of the leftward path's cell ends, and nothing else
+    assert widths == [4]
+    for path in (grid.forward, grid.backward):
+        assert "cell_omega" not in path.__dict__
+
+    problem = inverse.InverseProblem(
+        target=data, basis=inverse.PotentialBasis("cosine", 2),
+        boundary=config.boundary, weight=config.weight, grid_points=250)
+    params = [0.3, -0.1, 0.2, 0.05]
+    widths.clear()
+    inverse.residuals(problem, params)
+    candidate = integrator.build_grid(problem.make_config(params))
+    # on a cosine every step is a cell
+    assert widths == [len(candidate.xs) - 1]
+    for path in (candidate.forward, candidate.backward):
+        assert "cell_omega" not in path.__dict__
+
+    # a trajectory on the cached grid keeps the bits of one on a new grid
+    lams = np.array([0.7, -3.1 + 0.4j])
+    for cfg in (config, problem.make_config(params)):
+        cached = [f(cfg, lams)[1] for f in (integrator.phi_many, integrator.psi_many)]
+        monkeypatch.setattr(integrator, "build_grid", integrator.build_grid.__wrapped__)
+        fresh = [f(cfg, lams)[1] for f in (integrator.phi_many, integrator.psi_many)]
+        monkeypatch.undo()
+        for a, b in zip(cached, fresh):
+            assert a.tobytes() == b.tobytes()
+
+
+zero_or_value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+segments = st.lists(zero_or_value, min_size=1, max_size=5)
+potentials = st.one_of(
+    st.builds(PotentialSpec.piecewise, segments, segments),
+    st.builds(PotentialSpec.cosine, segments, segments),
+    st.just(PotentialSpec.from_callables(lambda x: 0.3 * np.sin(x),
+                                         lambda x: np.where(x < 2.0, -0.0, 0.5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(potential=potentials, a=st.floats(0.2, PI - 0.2), alpha=st.floats(0.5, 4.0),
+       grid=st.integers(16, 300))
+def test_cell_end_rows_are_the_per_node_rows_at_each_cell_end(potential, a, alpha, grid):
+    config = ProblemConfig(reference_config().boundary, Weight(alpha=alpha, a=a),
+                           potential, grid)
+    built = integrator.build_grid.__wrapped__(config)
+    for path in (built.forward, built.backward):
+        ends = path.cells[1:] - 1
+        # the end rows first, as a psi(0) sweep builds them
+        end_omega, end_rho = path.end_omega, path.end_rho
+        assert end_omega.tobytes() == path.cell_omega[:, ends].tobytes()
+        assert end_rho.tobytes() == path.rho[ends].tobytes()
+
+
+@pytest.mark.parametrize("potential", [
+    PotentialSpec.from_callables(lambda x: np.where(x > 2.0, np.nan, 0.3),
+                                 lambda x: 0.1 + 0.0 * x),
+    PotentialSpec.from_callables(lambda x: 0.1 + 0.0 * x,
+                                 lambda x: np.where(x > 2.0, np.inf, -0.2)),
+], ids=["p-nan", "q-inf"])
+@pytest.mark.parametrize("call", [
+    lambda c: integrator.build_grid(c),
+    lambda c: charfn.delta_many(c, [1.0]),
+    lambda c: eigensolver.find_eigenvalues(c, -2, 2),
+    lambda c: weyl.weyl_direct(c, 1.0 + 1.0j),
+    lambda c: integrator.phi(c, 1.0),
+], ids=["build_grid", "delta_many", "find_eigenvalues", "weyl_direct", "phi"])
+def test_a_potential_that_is_not_finite_is_a_config_error_at_its_x(potential, call):
+    config = reference_config(2.0, 256, potential)
+    with pytest.raises(ConfigError, match="not finite at x = ") as info:
+        call(config)
+    # the first Gauss point past x = 2, less than a step of about pi / 256 on
+    x = float(re.search(r"x = (\S+)$", str(info.value)).group(1))
+    assert 2.0 < x < 2.0 + PI / 256
 
 
 def test_series_entries_leave_the_other_columns_bits():

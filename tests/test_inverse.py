@@ -141,6 +141,28 @@ def test_misfit_total_for_extreme_parameters(small_problem):
         assert value > 1.0
 
 
+def test_a_candidate_whose_potential_overflows_is_penalised(small_truth, small_target):
+    # p = 1.7e308 (1 + cos x) is inf wherever cos x > 0.058: the grid refuses
+    # the candidate, and every target takes the penalty
+    problem = inverse.InverseProblem(target=small_target,
+                                     basis=inverse.PotentialBasis("cosine", 2),
+                                     boundary=small_truth.boundary,
+                                     weight=small_truth.weight,
+                                     grid_points=small_truth.grid_points)
+    params = [1.7e308, 1.7e308, 0.0, 0.0]
+    with pytest.raises(ConfigError, match="not finite"):
+        integrator.build_grid(problem.make_config(params))
+    r = inverse.residuals(problem, params)
+    n = len(small_target)
+    assert np.array_equal(r[:n], np.sqrt(problem.weights() * inverse._PENALTY))
+    assert np.array_equal(r[n:], np.zeros(n))
+
+
+def test_residuals_raise_on_parameters_of_the_wrong_shape(small_problem):
+    with pytest.raises(ConfigError, match="expected 2 parameters"):
+        inverse.residuals(small_problem, [0.2, -0.1, 0.0])
+
+
 def test_a_root_goes_only_to_its_nearest_target(small_problem):
     # at p = q = 50 the targets near -0.597 and -0.120 both lie nearest the
     # root near -0.411; only the nearer target -0.597 keeps it
