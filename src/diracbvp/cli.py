@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__, charfn, eigensolver, expansion, integrator, inverse, weyl
 from .errors import ConfigError, DiracBVPError, DomainError, MissingRootError
-from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, _json_int,
-                    _read_json, _write_csv, _write_json, config_to_dict, load_config)
+from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, _json_floats,
+                    _json_int, _read_json, _write_csv, _write_json, config_to_dict, load_config)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -193,7 +193,7 @@ def cmd_invert(args) -> int:
     try:
         basis = inverse.PotentialBasis(kind=ic["basis"]["kind"],
                                        m=_json_int(ic["basis"]["m"], "basis.m"))
-        init = [float(v) for v in ic["init"]]
+        init = list(_json_floats(ic["init"], "init"))
         budget = _json_int(ic.get("budget", 2000), "budget")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed inverse configuration: {exc}") from exc

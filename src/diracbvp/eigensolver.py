@@ -99,10 +99,12 @@ class SpectralDataSet:
     def from_dict(doc: dict) -> "SpectralDataSet":
         try:
             data = tuple(
-                SpectralDatum(n=model._json_int(r["n"], "n"), lambda_n=float(r["lambda"]),
-                              alpha_n=float(r["alpha"]), beta_n=float(r["beta"]),
-                              delta_dot_n=float(r["delta_dot"]),
-                              seed_gap=float(r["seed_gap"]))
+                SpectralDatum(n=model._json_int(r["n"], "n"),
+                              lambda_n=model._json_float(r["lambda"], "lambda"),
+                              alpha_n=model._json_float(r["alpha"], "alpha"),
+                              beta_n=model._json_float(r["beta"], "beta"),
+                              delta_dot_n=model._json_float(r["delta_dot"], "delta_dot"),
+                              seed_gap=model._json_float(r["seed_gap"], "seed_gap"))
                 for r in doc["data"]
             )
             return SpectralDataSet(fingerprint=doc["fingerprint"], data=data)

@@ -13,22 +13,25 @@ exact product, and every node of it is one product with its first state.
 The grid is built in one pass over [0, pi]: one sample of p and one of q at
 the Gauss points of every step, and one cell detection with the jump as a
 cell bound.  It keeps one cell path per sweep direction, with each step's
-rho and samples; a path builds its Omega rows on first use, those of the
-cell ends for a psi(0) sweep and those of every node only for a
-trajectory.  A batch of lambda values is swept along a path as one
-(2, batch) state, and the sweep returns the state it ends on.
-:func:`propagate_many` also writes every node into one (N+1, 2, batch)
-buffer allocated once and returns it as its (batch, N+1, 2) transpose,
+rho and samples.  rho multiplies the lambda part of each step's Omega, so
+Omega is affine in lambda alone and a sweep carries no rho.  A path builds
+its Omega rows on first use: those of the cell ends for every sweep, and
+those of the nodes inside a cell only for a trajectory.
+
+A batch of lambda values is swept along a path as one (2, batch) state by
+one march over the cell ends, a product per cell.  The leftward march of
+psi ends on psi(0), which :func:`psi0_many` returns: all that Delta and the
+Weyl function read, in memory that does not grow with the grid.  :func:`propagate_many` writes each cell
+end of the same march into one (N+1, 2, batch) buffer allocated once, then
+fills the nodes inside each cell of several steps by one blocked fan-out
+from the cell's first state, so psi(0) has the trajectory's bits by
+construction.  It returns the buffer as its (batch, N+1, 2) transpose,
 without a copy; a leftward propagation sweeps the leftward path, of
-reversed, negated cells, into a reversed view of the buffer.
-:func:`psi0_many` runs the same leftward sweep of psi and keeps only psi(0),
-which is all that Delta and the Weyl function read, so it takes one product
-per cell and its memory does not grow with the grid.  The sweep
-builds the matrices of a run of cells, or of the nodes of one cell, in one
-vectorised pass (one pass for a piecewise psi(0)) and then takes each
-cell's 2x2 product for the whole batch in two ufunc calls; the run length
-bounds its temporaries and changes no value.  The scalar entry points run a
-batch of one through :func:`propagate`.
+reversed, negated cells, into a reversed view of the buffer.  Matrices are
+built a run of columns at a time in one vectorised pass, and a product for
+the whole batch is two ufunc calls; the run length bounds the temporaries
+and changes no value.  The scalar entry points run a batch of one through
+:func:`propagate`.
 """
 from __future__ import annotations
 
@@ -87,10 +90,10 @@ class _Path:
     constant, or one step of any other kind; ``cells`` holds its bounds as
     node indices, so the jump is one of them.  A column of rows is the six
     lambda-independent rows (a0, a1, b0, b1, c0, c1) of
-    Omega = [[a0 + s a1, b0 + s b1], [c0 + s c1, -(a0 + s a1)]], s = lambda rho,
-    over a stretch of one cell, from one of its steps' samples; it is
-    negated on the leftward path.  The rows are built on first use: the
-    cell ends by a psi(0) sweep, every node only by a trajectory.
+    Omega = [[a0 + lambda a1, b0 + lambda b1], [c0 + lambda c1, -(a0 + lambda a1)]]
+    over a stretch of one cell, from one of its steps' samples and rho; it
+    is negated on the leftward path.  The rows are built on first use: the
+    cell ends by every sweep, the nodes inside a cell only by a trajectory.
     """
 
     xs: np.ndarray           # (N+1,)
@@ -104,7 +107,7 @@ class _Path:
         with that step's samples."""
         # a rounded difference changes only its sign when its terms swap, so
         # both paths take a cell's length with the same bits
-        rows = _omega_rows(np.abs(self.xs[steps + 1] - self.xs[starts]),
+        rows = _omega_rows(np.abs(self.xs[steps + 1] - self.xs[starts]), self.rho[steps],
                            *(s[steps] for s in self.samples))
         return -rows if self.leftward else rows
 
@@ -114,27 +117,18 @@ class _Path:
         return self._omega(self.cells[1:] - 1, self.cells[:-1])
 
     @cached_property
-    def end_rho(self) -> np.ndarray:
-        return self.rho[self.cells[1:] - 1]
+    def ends(self) -> list:
+        """The last node of each cell."""
+        return self.cells[1:].tolist()
 
     @cached_property
-    def cell_omega(self) -> np.ndarray:
-        """(6, N): column j - 1 is Omega from node j's cell's first node to
-        node j, exact on a constant piece, so the state at every node of a
-        cell is one product with the state at its first node.  A one-step
-        cell's column is its step's rows."""
-        return self._omega(np.arange(len(self.rho)),
-                           np.repeat(self.cells[:-1], np.diff(self.cells)))
-
-    @cached_property
-    def runs(self) -> list:
-        """(first node, last node, one cell of several steps) of each run: a
-        cell of several steps, or a stretch of one-step cells."""
-        several = np.diff(self.cells) > 1
-        first = np.flatnonzero(np.concatenate([[True], several[1:] | several[:-1]]))
-        edges = np.append(self.cells[first], self.cells[-1])
-        return list(zip(edges[:-1].tolist(), edges[1:].tolist(),
-                        several[first].tolist()))
+    def inner(self) -> list:
+        """(first node, last node, rows) of each cell of several steps: the
+        rows from its first node to each node inside it, exact on a constant
+        piece, so the state there is one product with the state at the
+        first node."""
+        return [(c0, c1, self._omega(np.arange(c0, c1 - 1), c0))
+                for c0, c1 in zip(self.cells[:-1].tolist(), self.ends) if c1 - c0 > 1]
 
 
 @dataclass
@@ -185,16 +179,16 @@ def _side_nodes(x0: float, x1: float, n: int, cuts) -> np.ndarray:
     return np.concatenate(parts + [[x1]])
 
 
-def _omega_rows(h, p1, q1, p2, q2) -> np.ndarray:
-    """The six rows of Omega over steps of length h with p and q sampled at
-    their two Gauss points."""
+def _omega_rows(h, rho, p1, q1, p2, q2) -> np.ndarray:
+    """The six rows of Omega over steps of length h and weight rho with p
+    and q sampled at their two Gauss points."""
     # Omega = h/2 (A1 + A2) + sqrt(3) h^2 / 12 [A2, A1] with
-    # A = [[q, -(p + s)], [s - p, -q]] is [[a, d - j], [d + j, -a]], where
-    # a, d and j are affine in s
+    # A = [[q, -(p + s)], [s - p, -q]], s = lambda rho, is
+    # [[a, d - j], [d + j, -a]], where a, d and j are affine in lambda
     k = np.sqrt(3.0) * h * h / 6.0
-    a0, a1 = 0.5 * h * (q1 + q2), -k * (p2 - p1)
-    d0, d1 = -0.5 * h * (p1 + p2), -k * (q2 - q1)
-    j0, j1 = k * (q2 * p1 - p2 * q1), h
+    a0, a1 = 0.5 * h * (q1 + q2), -k * (p2 - p1) * rho
+    d0, d1 = -0.5 * h * (p1 + p2), -k * (q2 - q1) * rho
+    j0, j1 = k * (q2 * p1 - p2 * q1), h * rho
     return np.array([a0, a1, d0 - j0, d1 - j1, d0 + j0, d1 + j1])
 
 
@@ -240,11 +234,10 @@ def build_grid(config: ProblemConfig) -> _Grid:
 # Magnus sweeps
 # ---------------------------------------------------------------------------
 
-def _step_matrices(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray,
-                   m: np.ndarray) -> np.ndarray:
-    """exp(Omega) of each of the k columns of ``rows`` at every lambda, with
-    s = lambda rho of the column, written into and returned as m[:k],
-    m[j, 0] = (r11, r21), m[j, 1] = (r12, r22).
+def _step_matrices(rows: np.ndarray, lams: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """exp(Omega) of each of the k columns of ``rows`` at every lambda,
+    written into and returned as m[:k], m[j, 0] = (r11, r21),
+    m[j, 1] = (r12, r22).
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega, even
     in w, with z = w^2 = -(Omega11^2 + Omega12 Omega21).  With w = x + iy,
@@ -254,8 +247,7 @@ def _step_matrices(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray,
     A block with no such entry takes no series.
     """
     a0, a1, b0, b1, c0, c1 = rows[:, :, None]
-    s = lams * rho[:, None]
-    o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
+    o11, o12, o21 = a0 + lams * a1, b0 + lams * b1, c0 + lams * c1
     z = -(o11 * o11 + o12 * o21)
     w = np.sqrt(z)
     x, y = w.real, w.imag
@@ -280,74 +272,64 @@ def _step_matrices(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray,
     return mb
 
 
-def _block(count: int, batch: int) -> int:
-    """Matrices built at once: about ``_BLOCK`` entries, at least one."""
-    return min(count, max(1, _BLOCK // max(1, batch)))
+def _blocks(rows: np.ndarray, lams: np.ndarray):
+    """(first column, matrices) of each run of k columns of ``rows``, with
+    k * batch near ``_BLOCK``, built at once into one (k, 2, 2, batch)
+    buffer, so column j reads one contiguous (2, 2, batch) block."""
+    k = min(rows.shape[1], max(1, _BLOCK // max(1, len(lams))))
+    m = np.empty((k, 2, 2, len(lams)), dtype=complex)
+    for j0 in range(0, rows.shape[1], k):
+        yield j0, _step_matrices(rows[:, j0:j0 + k], lams, m)
 
 
-def _march(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray, state: np.ndarray,
-           out=None) -> None:
+def _march(rows: np.ndarray, lams: np.ndarray, state: np.ndarray, out=None,
+           nodes=None) -> None:
     """Multiply the (2, batch) ``state``, in place, by exp(Omega) of each
     column of ``rows`` in turn; given ``out``, write the state after column
-    j - 1 into out[j].
+    j into out[nodes[j]].
 
-    The matrices of each run of k columns are built at once, with
-    k * batch near ``_BLOCK``, into one (k, 2, 2, batch) buffer allocated per
-    call, so column j reads one contiguous (2, 2, batch) block.  A product
-    is then two ufunc calls: m[j, c, r] * state[c] into a (2, 2, batch)
+    A product is two ufunc calls: m[j, c, r] * state[c] into a (2, 2, batch)
     scratch, and the sum of its two columns into ``state``, r11 y1 + r12 y2
     and r21 y1 + r22 y2, the same products and sums as one 2x2 product per
     lambda.
     """
-    k = _block(rows.shape[1], len(lams))
-    m = np.empty((k, 2, 2, len(lams)), dtype=complex)
     t = np.empty((2, 2, len(lams)), dtype=complex)
     t0, t1 = t
     column = state[:, None]
-    for j0 in range(0, rows.shape[1], k):
-        mb = _step_matrices(rows[:, j0:j0 + k], rho[j0:j0 + k], lams, m)
-        for j, m_j in enumerate(mb, j0 + 1):
+    for j0, mb in _blocks(rows, lams):
+        for j, m_j in enumerate(mb, j0):
             np.multiply(m_j, column, out=t)
             np.add(t0, t1, out=state)
             if out is not None:
-                out[j] = state
+                out[nodes[j]] = state
 
 
-def _fan_out(rows: np.ndarray, rho: np.ndarray, lams: np.ndarray, state: np.ndarray,
+def _fan_out(rows: np.ndarray, lams: np.ndarray, state: np.ndarray,
              out: np.ndarray) -> None:
-    """Write exp(Omega) of column j - 1 of ``rows`` times the (2, batch)
-    ``state`` into out[j] for every column, a block of about ``_BLOCK``
-    entries at a time with the products and sums of :func:`_march`, and
-    leave the last one in ``state``."""
-    k = _block(rows.shape[1], len(lams))
-    m = np.empty((k, 2, 2, len(lams)), dtype=complex)
-    t = np.empty_like(m)
+    """Write exp(Omega) of column j of ``rows`` times the (2, batch)
+    ``state`` into out[j] for every column, a block at a time with the
+    products and sums of :func:`_march`, the products in place of the
+    matrices."""
     column = state[:, None]
-    for j0 in range(0, rows.shape[1], k):
-        mb = _step_matrices(rows[:, j0:j0 + k], rho[j0:j0 + k], lams, m)
-        tb = t[:len(mb)]
-        np.multiply(mb, column, out=tb)
-        np.add(tb[:, 0], tb[:, 1], out=out[j0 + 1:j0 + 1 + len(mb)])
-    state[...] = out[rows.shape[1]]
+    for j0, mb in _blocks(rows, lams):
+        np.multiply(mb, column, out=mb)
+        np.add(mb[:, 0], mb[:, 1], out=out[j0:j0 + len(mb)])
 
 
 def _sweep(path: _Path, lams: np.ndarray, init, out=None) -> np.ndarray:
     """Sweep ``path`` from the (2, batch) state ``init`` and return the state
     it ends on, taking one product per cell; given ``out`` (N+1, 2, batch)
-    in sweep order, also write every further node into it, a cell of several
-    steps from its first state in one vectorised pass and a stretch of
-    one-step cells step by step.  The cell ends come from the same rows by
-    the same operations either way, so psi(0) has the same bits with and
-    without a trajectory."""
+    in sweep order, also write the state at every cell end into it, and then
+    every node inside a cell as one product with the state at the cell's
+    first node.  The cell ends are the same march either way, so psi(0) has
+    the same bits with and without a trajectory."""
     state = np.array(init, dtype=complex, order="C")
     # non-finite states are detected and reported by the caller; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        if out is None:
-            _march(path.end_omega, path.end_rho, lams, state)
-            return state
-        for n0, n1, several in path.runs:
-            walk = _fan_out if several else _march
-            walk(path.cell_omega[:, n0:n1], path.rho[n0:n1], lams, state, out[n0:n1 + 1])
+        _march(path.end_omega, lams, state, out, path.ends)
+        if out is not None:
+            for c0, c1, rows in path.inner:
+                _fan_out(rows, lams, out[c0], out[c0 + 1:c1])
     return state
 
 

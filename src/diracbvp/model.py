@@ -241,8 +241,13 @@ def _write_csv(path, header, columns) -> None:
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in the file ``path``; a file that is not UTF-8 text
+    raises :class:`ConfigError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _json_int(value, name: str) -> int:
@@ -250,6 +255,25 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} = {value!r} is not an integer")
     return value
+
+
+def _json_float(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number, an int or a float but not
+    a bool; else TypeError, or ValueError for an integer beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} = {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is beyond the float range") from exc
+
+
+def _json_floats(value, name: str) -> tuple:
+    """``value`` as a tuple of floats if it is a JSON array of numbers; else
+    TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} = {value!r} is not an array")
+    return tuple(_json_float(v, name) for v in value)
 
 
 def config_to_dict(config: ProblemConfig) -> dict:
@@ -271,10 +295,15 @@ def config_to_dict(config: ProblemConfig) -> dict:
 
 def config_from_dict(doc: dict) -> ProblemConfig:
     try:
-        boundary = BoundaryParams(**{k: float(v) for k, v in doc["boundary"].items()})
-        weight = Weight(alpha=float(doc["weight"]["alpha"]), a=float(doc["weight"]["a"]))
+        coeffs = doc["boundary"]
+        if not isinstance(coeffs, dict):
+            raise TypeError(f"boundary = {coeffs!r} is not an object")
+        boundary = BoundaryParams(**{k: _json_float(v, k) for k, v in coeffs.items()})
+        weight = Weight(alpha=_json_float(doc["weight"]["alpha"], "alpha"),
+                        a=_json_float(doc["weight"]["a"], "a"))
         pot = doc["potential"]
-        potential = PotentialSpec(pot["kind"], tuple(pot["p_params"]), tuple(pot["q_params"]))
+        potential = PotentialSpec(pot["kind"], _json_floats(pot["p_params"], "p_params"),
+                                  _json_floats(pot["q_params"], "q_params"))
         grid_points = _json_int(doc.get("grid_points", 2048), "grid_points")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc

@@ -21,13 +21,14 @@ POTENTIALS = {
 PROBE = np.array([1.0, 3.3 + 1.2j, -7.1 - 0.4j])
 
 
-def _step_rows(config, xn):
+def _step_rows(config, xn, rho=1.0):
     """Each step's Omega rows, from the nodes ``xn`` of one side of the jump
     and p and q at the step's two Gauss points."""
     h = np.diff(xn)
     pot = config.potential
     xa, xb = (xn[:-1] + g * h for g in integrator._GAUSS)
-    return integrator._omega_rows(h, pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb))
+    return integrator._omega_rows(h, rho, pot.p_at(xa), pot.q_at(xa),
+                                  pot.p_at(xb), pot.q_at(xb))
 
 
 def _stepwise_side(rows, lam_rho, out):
@@ -83,11 +84,13 @@ def _sweep(config, lams, endpoint):
 @pytest.mark.parametrize("batch", [1, 7, 400, 5000])
 def test_blocked_sweep_matches_the_stepwise_sweep(endpoint, kind, imag, batch):
     # grid 128 gives 64 steps a side.  The cosine cases march one run of 128
-    # one-step cells across the jump: one block at batch 1 and 7, blocks of
-    # 10 with a partial last one at 400, one step each at 5000.  The
-    # piecewise cases write the nodes of each of their 4 cells (42, 22, 22
-    # and 42 steps) from its first state: one block a cell at batch 1 and 7,
-    # blocks of 10 with a partial last one at 400, one node each at 5000
+    # one-step cells across the jump and fan out nothing: one block at
+    # batch 1 and 7, blocks of 10 with a partial last one at 400, one step
+    # each at 5000.  The piecewise cases march their 4 cell ends (42, 22, 22
+    # and 42 steps long), one block but at 5000, then write the 41, 21, 21 and 41
+    # nodes inside each cell from its first state: one block a cell at
+    # batch 1 and 7, blocks of 10 with a partial last one at 400, one node
+    # each at 5000
     config = reference_config(2.0, 128, POTENTIALS[kind])
     lams = _lams(batch, imag)
     ys = _sweep(config, lams, endpoint)

@@ -80,7 +80,7 @@ def test_a_psi0_only_solve_builds_no_per_node_rows(monkeypatch):
     # one build of the leftward path's cell ends, and nothing else
     assert widths == [4]
     for path in (grid.forward, grid.backward):
-        assert "cell_omega" not in path.__dict__
+        assert "inner" not in path.__dict__
 
     problem = inverse.InverseProblem(
         target=data, basis=inverse.PotentialBasis("cosine", 2),
@@ -92,7 +92,7 @@ def test_a_psi0_only_solve_builds_no_per_node_rows(monkeypatch):
     # on a cosine every step is a cell
     assert widths == [len(candidate.xs) - 1]
     for path in (candidate.forward, candidate.backward):
-        assert "cell_omega" not in path.__dict__
+        assert "inner" not in path.__dict__
 
     # a trajectory on the cached grid keeps the bits of one on a new grid
     lams = np.array([0.7, -3.1 + 0.4j])
@@ -121,12 +121,48 @@ def test_cell_end_rows_are_the_per_node_rows_at_each_cell_end(potential, a, alph
     config = ProblemConfig(reference_config().boundary, Weight(alpha=alpha, a=a),
                            potential, grid)
     built = integrator.build_grid.__wrapped__(config)
+    xs, n = built.xs, len(built.xs) - 1
+    h = np.diff(xs)
+    xa, xb = (xs[:-1] + g * h for g in integrator._GAUSS)
+    pot = config.potential
+    samples = (pot.p_at(xa), pot.q_at(xa), pot.p_at(xb), pot.q_at(xb))
+    rho = np.where(np.arange(n) < built.ia, 1.0, alpha)
     for path in (built.forward, built.backward):
-        ends = path.cells[1:] - 1
-        # the end rows first, as a psi(0) sweep builds them
-        end_omega, end_rho = path.end_omega, path.end_rho
-        assert end_omega.tobytes() == path.cell_omega[:, ends].tobytes()
-        assert end_rho.tobytes() == path.rho[ends].tobytes()
+        # the end rows first, as a psi(0) sweep builds them; then the rows
+        # of the nodes inside the cells, each over [cell start, node]
+        inner = [(rows, np.arange(c0 + 1, c1), np.full(c1 - c0 - 1, c0))
+                 for c0, c1, rows in path.inner]
+        for rows, nodes, starts in [(path.end_omega, path.cells[1:], path.cells[:-1]), *inner]:
+            # the step that reaches each node, as an index into xs
+            steps = n - nodes if path.leftward else nodes - 1
+            ref = integrator._omega_rows(np.abs(path.xs[nodes] - path.xs[starts]),
+                                         rho[steps], *(s[steps] for s in samples))
+            assert rows.tobytes() == (-ref if path.leftward else ref).tobytes()
+            # a cell's start is the last cell end before its nodes
+            assert np.array_equal(starts, path.cells[np.searchsorted(path.cells, nodes) - 1])
+        # every node past the first is one cell end or one inner node
+        nodes = np.concatenate([path.cells[1:], *(nodes for _, nodes, _ in inner)])
+        assert np.array_equal(np.sort(nodes), np.arange(1, n + 1))
+
+
+def test_a_cosine_psi0_sweep_and_trajectory_build_each_step_once(monkeypatch):
+    widths = []
+
+    def spy(h, *args):
+        widths.append(np.shape(h)[-1])
+        return build(h, *args)
+
+    build = integrator._omega_rows
+    monkeypatch.setattr(integrator, "_omega_rows", spy)
+    # grid points no other test uses, so the grid is new
+    config = reference_config(2.0, 254, PotentialSpec.cosine((0.2, -0.3, 0.1), (0.4, 0.15)))
+    lams = np.array([0.7, -3.1 + 0.4j])
+    psi0 = integrator.psi0_many(config, lams)
+    _, ys, _ = integrator.psi_many(config, lams)
+    assert np.array_equal(ys[:, 0], psi0)
+    # every step is a cell, so the trajectory reads only the cell-end rows
+    # the psi(0) sweep built
+    assert sum(widths) == len(integrator.build_grid(config).xs) - 1
 
 
 @pytest.mark.parametrize("potential", [
@@ -154,18 +190,17 @@ def test_a_potential_that_is_not_finite_is_a_config_error_at_its_x(potential, ca
 def test_series_entries_leave_the_other_columns_bits():
     config = reference_config(2.0, 128, PotentialSpec.cosine((0.2, -0.3, 0.1), (0.4, 0.15)))
     path = integrator.build_grid(config).forward
-    rows, rho = path.cell_omega[:, 60:68], path.rho[60:68]
+    rows = path.end_omega[:, 60:68]
     # lambda = 0 gives every step |w|^2 of order (h q)^2, below the series bound
     lams = np.array([0.0, 5.0, 3.0 + 1.0j, -7.5 - 0.3j])
     a0, a1, b0, b1, c0, c1 = rows[:, :, None]
-    s = lams * rho[:, None]
-    o11, o12, o21 = a0 + s * a1, b0 + s * b1, c0 + s * c1
+    o11, o12, o21 = a0 + lams * a1, b0 + lams * b1, c0 + lams * c1
     small = np.abs(o11 * o11 + o12 * o21) < integrator._SERIES_Z
     assert small[:, 0].all() and not small[:, 1:].any()
 
     def block(lams):
         m = np.empty((rows.shape[1], 2, 2, len(lams)), dtype=complex)
-        return integrator._step_matrices(rows, rho, lams, m)
+        return integrator._step_matrices(rows, lams, m)
 
     mixed, plain = block(lams), block(lams[1:])
     assert np.array_equal(mixed[..., 1:], plain)

@@ -96,6 +96,18 @@ def test_malformed_config_is_io_error(tmp_path):
                      "--n-max", "1", "--out", str(tmp_path / "o")]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("flag", ["--config", "--data", "--inverse-config"])
+def test_a_file_that_is_not_utf8_is_io_error(tmp_path, flag):
+    argv = _invert_argv(tmp_path, _DATA_DOC, _INVERSE_DOC)
+    path = argv[argv.index(flag) + 1]
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+    proc = run_python("-m", "diracbvp.cli", *argv)
+    assert proc.returncode == cli.EXIT_IO, proc.stderr
+    assert proc.stderr.startswith("diracbvp: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "UTF-8" in proc.stderr
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 
@@ -126,9 +138,17 @@ def test_config_without_boundary_is_io_error(tmp_path):
     ("potential", "p_params", [math.nan]),
     # an integer field takes a JSON integer only, never truncated or parsed
     (None, "grid_points", 256.9), (None, "grid_points", "300"), (None, "grid_points", True),
+    # a real field takes a JSON number only, and an array field a JSON array
+    ("boundary", "b2", "-0.5"), ("weight", "alpha", True), ("weight", "a", "1.5"),
+    ("potential", "p_params", "37"), ("potential", "q_params", [0.1, "0.2"]),
+    ("potential", "p_params", [False]), ("boundary", "b1", 10 ** 400),
+    (None, "boundary", "x"),
 ], ids=["boundary-b1", "weight-alpha", "None-grid_points",
         "boundary-b1-NaN", "weight-alpha-Infinity", "potential-p_params-NaN",
-        "None-grid_points-fraction", "None-grid_points-string", "None-grid_points-true"])
+        "None-grid_points-fraction", "None-grid_points-string", "None-grid_points-true",
+        "boundary-b2-string", "weight-alpha-true", "weight-a-string",
+        "potential-p_params-string", "potential-q_params-string-entry",
+        "potential-p_params-false", "boundary-b1-beyond-float", "None-boundary-string"])
 def test_config_with_a_non_number_is_io_error(tmp_path, capsys, section, key, value):
     doc = config_to_dict(reference_config())
     (doc[section] if section else doc)[key] = value
@@ -375,10 +395,16 @@ def _invert_argv(tmp_path, data_doc, inverse_doc):
     (_DATA_DOC, {**_INVERSE_DOC, "budget": True}),
     (_DATA_DOC, {"basis": {"kind": "piecewise", "m": 1.0}, "init": [0, 0]}),
     ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "n": -0.5}]}, _INVERSE_DOC),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "lambda": "1.5"}]},
+     _INVERSE_DOC),
+    ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "beta": True}]}, _INVERSE_DOC),
+    (_DATA_DOC, {**_INVERSE_DOC, "init": "12"}),
+    (_DATA_DOC, {**_INVERSE_DOC, "init": [0.0, "0"]}),
 ], ids=["no-basis", "short-init", "bad-m", "scalar-init", "list-document",
         "no-data", "no-lambda", "bad-lambda", "decreasing", "zero-budget",
         "negative-alpha", "nan-alpha", "infinite-lambda", "fractional-budget",
-        "true-budget", "float-m", "fractional-n"])
+        "true-budget", "float-m", "fractional-n", "string-lambda", "true-beta",
+        "string-init", "string-init-entry"])
 def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
                                                capsys):
     assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO

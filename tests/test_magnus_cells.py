@@ -10,7 +10,7 @@ rounding moves it by a few parts in 1e12.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracbvp import charfn, eigensolver, integrator
@@ -38,15 +38,18 @@ def test_cells_of_a_side(potential, cells):
         assert len(path.cells) - 1 == expected
         assert path.cells[0] == 0 and path.cells[-1] == n and jump in path.cells
         assert path.end_omega.shape == (6, expected)
-        assert np.array_equal(path.end_rho, path.rho[path.cells[1:] - 1])
+        # the rows carry rho: c1 - b1 = 2 h rho over each cell
+        lengths = np.abs(np.diff(path.xs[path.cells]))
+        width = np.abs(path.end_omega[5] - path.end_omega[3])
+        assert np.allclose(width, 2.0 * lengths * path.rho[path.cells[1:] - 1], rtol=1e-14)
     assert np.array_equal(grid.forward.rho, np.repeat([1.0, 2.0], [grid.ia, n - grid.ia]))
     assert np.array_equal(grid.backward.rho, grid.forward.rho[::-1])
     if cells is None:
         # a one-step cell keeps its step's rows, reversed and negated leftward
         steps = np.concatenate([_step_rows(config, grid.xs[:grid.ia + 1]),
-                                _step_rows(config, grid.xs[grid.ia:])], axis=1)
-        assert np.array_equal(grid.forward.cell_omega, steps)
-        assert np.array_equal(grid.backward.cell_omega, -steps[:, ::-1])
+                                _step_rows(config, grid.xs[grid.ia:], 2.0)], axis=1)
+        assert np.array_equal(grid.forward.end_omega, steps)
+        assert np.array_equal(grid.backward.end_omega, -steps[:, ::-1])
 
 
 def _closed_form_delta(config, lams):
@@ -90,6 +93,12 @@ lambdas = st.lists(st.builds(complex, st.floats(-20.0, 20.0), st.floats(-3.0, 3.
 
 @settings(max_examples=40, deadline=None)
 @given(config=problems, lams=lambdas, real=st.booleans())
+@example(config=ProblemConfig(BOUNDARY, Weight(alpha=1.5, a=1.3),
+                              PotentialSpec.piecewise((0.3, -0.2), (0.1,)), 256),
+         lams=[3.3 + 1.2j, -7.1, 0.0], real=False)
+@example(config=ProblemConfig(BOUNDARY, Weight(alpha=0.7, a=2.1),
+                              PotentialSpec.piecewise((0.4,), (-0.3, 0.2, 0.1)), 300),
+         lams=[11.5 - 0.4j, 1.0], real=False)
 def test_random_piecewise_problems(config, lams, real):
     lams = np.array(lams)
     if real:
