@@ -14,8 +14,10 @@ the float64 bytes of its lambda array (order and batch included), and
 :func:`resolvent_apply`'s psi, phi and Delta keyed on the bytes of its
 complex lambda.  So coefficients, Parseval defect and expansion over one
 data set share one propagation, as do resolvents of many elements at one
-lambda.  The memo holds at most ``_MEMO`` entries, least recently used
-dropped first; its arrays are read-only, and it goes with the grid when
+lambda.  A new lambda array propagates only the lambda that no live
+eigen-element entry holds, so nested data sets propagate each lambda once.
+The memo holds at most ``_MEMO`` entries, least recently used dropped
+first; its arrays are read-only, and it goes with the grid when
 ``integrator.build_grid.cache_clear()`` is called.
 """
 from __future__ import annotations
@@ -150,18 +152,33 @@ def element_from_functions(config: ProblemConfig, f1: Callable, f2: Callable,
 
 
 def eigen_elements(config: ProblemConfig, lambdas) -> HElement:
-    """Stacked eigen-elements of the left-normalized solutions at ``lambdas``
-    from one propagation, kept in the grid memo under the bytes of the
-    lambda array."""
+    """Stacked eigen-elements of the left-normalized solutions at ``lambdas``,
+    kept in the grid memo under the bytes of the lambda array.  A new array
+    takes the rows of the lambda that live entries hold, keyed by their bits,
+    and propagates the other distinct lambda in one batch; a row has the same
+    bytes in any batch."""
     lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    grid = integrator.build_grid(config)
 
     def build():
-        _, ys, _ = integrator.phi_many(config, lams)
-        f1, f2 = ys[..., 0].real.copy(), ys[..., 1].real.copy()
+        rows = {}
+        for key, entry in grid.memo.items():
+            if key[0] == "eigen_elements":
+                held = np.frombuffer(key[1], np.int64).tolist()
+                rows.update(zip(held, zip(entry[0], entry[1])))
+        bits = lams.view(np.int64).tolist()
+        new = [b for b in dict.fromkeys(bits) if b not in rows]
+        if new:
+            _, ys, _ = integrator.phi_many(config, np.array(new, np.int64).view(float))
+            rows.update(zip(new, zip(ys[..., 0].real, ys[..., 1].real)))
+        f1 = np.empty((len(bits), len(grid.xs)))
+        f2 = np.empty_like(f1)
+        for i, b in enumerate(bits):
+            f1[i], f2[i] = rows[b]
         return (f1, f2, *_boundary_scalars(config, f1, f2))
 
     f1, f2, f3, f4 = _memo(config, ("eigen_elements", lams.tobytes()), build)
-    return HElement(integrator.build_grid(config).xs, f1, f2, f3, f4)
+    return HElement(grid.xs, f1, f2, f3, f4)
 
 
 def eigen_element(config: ProblemConfig, lambda_n: float) -> HElement:

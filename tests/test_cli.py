@@ -294,6 +294,7 @@ def test_expand_reports_parseval_defect(tmp_path, config_path):
 
 
 def test_expand_propagates_its_eigen_elements_once(tmp_path, config_path, monkeypatch):
+    integrator.build_grid.cache_clear()     # no lambda held by an earlier command
     calls = []
     core = integrator.propagate_many
 

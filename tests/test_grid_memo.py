@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracbvp import eigensolver, expansion, integrator
-from diracbvp.errors import PoleError
+from diracbvp.errors import IntegrationOverflowError, PoleError
 from diracbvp.model import BoundaryParams, config_from_dict
 
 from conftest import reference_config
@@ -39,8 +40,8 @@ def config():
     return config_from_dict(SEED1_CONFIG)
 
 
-@pytest.fixture()
-def propagations(monkeypatch):
+def _spy(patch):
+    """The (endpoint, batch size) of every propagation made under ``patch``."""
     calls = []
     core = integrator.propagate_many
 
@@ -48,8 +49,13 @@ def propagations(monkeypatch):
         calls.append((endpoint, len(np.atleast_1d(lams))))
         return core(config, lams, inits, endpoint)
 
-    monkeypatch.setattr(integrator, "propagate_many", counted)
+    patch.setattr(integrator, "propagate_many", counted)
     return calls
+
+
+@pytest.fixture()
+def propagations(monkeypatch):
+    return _spy(monkeypatch)
 
 
 def _data(config, n_max):
@@ -105,7 +111,7 @@ def test_stored_arrays_reject_writes(config):
         expansion.eigen_element(config, SEED1_LAMBDAS[0]).f1[0] = 1.0
 
 
-def test_expansion_round_propagates_each_lambda_set_once(config, propagations):
+def test_expansion_round_propagates_each_lambda_once(config, propagations):
     subsets = {n: _data(config, n) for n in LADDER}
     integrator.build_grid(config).memo.clear()
     propagations.clear()
@@ -116,7 +122,46 @@ def test_expansion_round_propagates_each_lambda_set_once(config, propagations):
             expansion.parseval_defect(config, data, f)
             expansion.expand(config, data, f)
     eigensolver.orthogonality_check(config, subsets[10])
-    assert propagations == [("left", 2 * n + 1) for n in LADDER]
+    # each larger set propagates only the two lambda the smaller ones lack
+    assert propagations == [("left", 5)] + [("left", 4)] * 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=st.lists(st.lists(st.sampled_from([*SEED1_LAMBDAS.tolist(), 0.0, -0.0]),
+                               max_size=8), min_size=1, max_size=6))
+def test_a_call_propagates_only_the_lambda_no_live_entry_holds(calls):
+    config = config_from_dict(SEED1_CONFIG)
+    integrator.build_grid(config).memo.clear()
+    held = set()
+    for lams in calls:
+        lams = np.array(lams, dtype=float)
+        _, ys, _ = integrator.phi_many(config, lams)
+        f1, f2 = ys[..., 0].real, ys[..., 1].real
+        cold = (f1, f2, *expansion._boundary_scalars(config, f1, f2))
+        with pytest.MonkeyPatch.context() as patch:
+            batches = _spy(patch)
+            E = expansion.eigen_elements(config, lams)
+        bits = set(lams.view(np.int64).tolist())
+        assert batches == ([("left", len(bits - held))] if bits - held else [])
+        held |= bits
+        assert _bytes(E.f1, E.f2, E.f3, E.f4) == _bytes(*cold)
+
+
+def test_an_empty_lambda_array_propagates_nothing(config, propagations):
+    E = expansion.eigen_elements(config, [])
+    n = len(integrator.build_grid(config).xs)
+    assert (E.f1.shape, E.f2.shape, E.f3.shape, E.f4.shape) == ((0, n), (0, n), (0,), (0,))
+    assert propagations == []
+
+
+def test_a_build_that_raises_keeps_the_earlier_rows(config, propagations):
+    E = expansion.eigen_elements(config, SEED1_LAMBDAS[:3])
+    with pytest.raises(IntegrationOverflowError):
+        expansion.eigen_elements(config, [SEED1_LAMBDAS[0], SEED1_LAMBDAS[5], np.nan])
+    assert len(integrator.build_grid(config).memo) == 1
+    F = expansion.eigen_elements(config, SEED1_LAMBDAS[:6])
+    assert propagations == [("left", 3), ("left", 2), ("left", 3)]
+    assert _bytes(E.f1, E.f2, E.f3, E.f4) == _bytes(F.f1[:3], F.f2[:3], F.f3[:3], F.f4[:3])
 
 
 def test_resolvent_at_one_lambda_for_two_elements_propagates_once(config, propagations):
@@ -173,6 +218,7 @@ def test_pole_error_leaves_no_entry(propagations):
 ], ids=str)
 def test_eigen_element_rows_do_not_depend_on_their_batch(config, take):
     full = expansion.eigen_elements(config, SEED1_LAMBDAS)
+    integrator.build_grid(config).memo.clear()          # so part propagates its own batch
     part = expansion.eigen_elements(config, SEED1_LAMBDAS[take])
     for name in ("f1", "f2", "f3", "f4"):
         assert getattr(part, name).tobytes() == getattr(full, name)[take].tobytes()
