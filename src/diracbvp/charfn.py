@@ -94,10 +94,6 @@ def delta_dot(config: ProblemConfig, lam) -> float:
 def seed_phase(config: ProblemConfig) -> float:
     """Index offset (in units of pi) of the asymptotic eigenvalue ladder."""
     b = config.boundary
-    if (b.b3, b.b4) == (0.0, 0.0) or (b.c3, b.c4) == (0.0, 0.0):
-        raise ConfigError(
-            "asymptotic seeds need a nonzero lambda-coefficient pair "
-            "on each boundary form")
     num = b.c3 * b.b4 - b.c4 * b.b3
     den = b.b3 * b.c3 + b.c4 * b.b4
     if num == 0.0 and den == 0.0:

@@ -59,6 +59,8 @@ class SpectralDataSet:
     data: Tuple[SpectralDatum, ...]
 
     def __post_init__(self):
+        if not isinstance(self.fingerprint, str):
+            raise TypeError(f"fingerprint = {self.fingerprint!r} is not a string")
         lams = [d.lambda_n for d in self.data]
         if any(b - a <= _MIN_EIGENVALUE_GAP for a, b in zip(lams, lams[1:])):
             raise ValueError("eigenvalues must be strictly increasing")

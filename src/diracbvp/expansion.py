@@ -5,8 +5,9 @@ Elements of the underlying Hilbert space pair a two-component function on
 rho and the scalars by 1/k1 and 1/k2.  :func:`gram` is its one implementation:
 coefficients and orthogonality are read off it, and its diagonal on the
 eigen-elements is the independent check of the norming constants.  One
-Simpson rule, :func:`_simpson_halves`, gives its weights and the resolvent's
-cumulative integrals, built once per grid by :func:`_simpson_rule`.
+Simpson rule, the grid's ``quadrature``, built once per grid by
+:mod:`integrator` over all of [0, pi], gives its weights and the
+resolvent's cumulative integrals, with rho applied per step.
 
 Results that depend only on the config and lambda live in the memo of the
 config's grid, read through :func:`_memo`: :func:`eigen_elements` keyed on
@@ -57,38 +58,6 @@ def _check_grid(config: ProblemConfig, *elements: HElement):
     return grid
 
 
-def _simpson_halves(x) -> np.ndarray:
-    """Simpson weights of the nodes ``x`` (an even number of steps), taken
-    pair of steps by pair: entry [j, i, k] weighs f(x[2k+i]) in the integral
-    over step j of pair k, h/12 (5, 8, -1) over the first step and
-    h/12 (-1, 8, 5) over the second, h being one step.  A pair never
-    straddles a cut, so its two steps are equal."""
-    h12 = (x[2::2] - x[:-2:2]) / 24.0
-    return np.array([[[5.0], [8.0], [-1.0]], [[-1.0], [8.0], [5.0]]]) * h12
-
-
-def _simpson_weights(x) -> np.ndarray:
-    """Per-node weights of the composite Simpson rule on ``x``: each pair of
-    steps adds the sum of its two halves, h/3 (1, 4, 1)."""
-    pair = _simpson_halves(x).sum(axis=0)
-    w = np.zeros(len(x))
-    w[:-2:2] += pair[0]
-    w[1::2] += pair[1]
-    w[2::2] += pair[2]
-    return w
-
-
-def _simpson_rule(grid):
-    """The rho-weighted weight of every node of ``grid`` and the halves of each
-    side, built once and kept on the grid."""
-    if grid.simpson is None:
-        w = np.zeros(len(grid.xs))
-        for start, xn, rho in grid.sides:
-            w[start: start + len(xn)] += rho * _simpson_weights(xn)
-        grid.simpson = (w, *(_simpson_halves(xn) for _, xn, _ in grid.sides))
-    return grid.simpson
-
-
 def _memo(config: ProblemConfig, key, build):
     """The tuple ``build()`` returns, built once per ``key`` on the config's
     grid and kept in its memo.  Every array of it is made read-only, so no
@@ -124,7 +93,7 @@ def gram(config: ProblemConfig, Y: HElement, Z: HElement) -> np.ndarray:
     (Y1 w) Z1^H + (Y2 w) Z2^H + Y3 Z3^H / k1 + Y4 Z4^H / k2, where w holds the
     rho-weighted Simpson weights of each side of the jump.
     """
-    w = _simpson_rule(_check_grid(config, Y, Z))[0]
+    w = _check_grid(config, Y, Z).quadrature[0]
     b = config.boundary
     y1, y2, z1, z2 = (np.atleast_2d(v) for v in (Y.f1, Y.f2, Z.f1, Z.f2))
     y3, y4, z3, z4 = (np.atleast_1d(v) for v in (Y.f3, Y.f4, Z.f3, Z.f4))
@@ -220,16 +189,15 @@ def expand(config: ProblemConfig, data, f: HElement) -> HElement:
 
 def _cumulative(config: ProblemConfig, values: np.ndarray) -> np.ndarray:
     """Cumulative rho-weighted integral from 0 of values on the config grid:
-    the running sum of the Simpson integrals over its single steps."""
+    the running sum of the Simpson integrals over its single steps, each
+    times its step's rho."""
     grid = integrator.build_grid(config)
-    values = np.asarray(values, dtype=complex)
-    steps = []
-    for (start, xn, rho), halves in zip(grid.sides, _simpson_rule(grid)[1:]):
-        f = values[start: start + len(xn)]
-        per_pair = (halves[:, 0] * f[:-2:2] + halves[:, 1] * f[1::2]
-                    + halves[:, 2] * f[2::2])
-        steps.append(rho * per_pair.T.ravel())
-    return np.concatenate([[0.0], np.cumsum(np.concatenate(steps))])
+    halves = grid.quadrature[1]
+    f = np.asarray(values, dtype=complex)
+    per_pair = halves[:, 0] * f[:-2:2] + halves[:, 1] * f[1::2] + halves[:, 2] * f[2::2]
+    cum = np.zeros(len(f), dtype=complex)
+    np.cumsum(grid.forward.rho * per_pair.T.ravel(), out=cum[1:])
+    return cum
 
 
 def resolvent_apply(config: ProblemConfig, lam, f: HElement) -> integrator.Trajectory:

@@ -16,7 +16,11 @@ cell bound.  It keeps one cell path per sweep direction, with each step's
 rho and samples.  rho multiplies the lambda part of each step's Omega, so
 Omega is affine in lambda alone and a sweep carries no rho.  A path builds
 its Omega rows on first use: those of the cell ends for every sweep, and
-those of the nodes inside a cell only for a trajectory.
+those of the nodes inside a cell only for a trajectory.  The grid also
+carries the one quadrature of the package, a composite Simpson rule over
+all of [0, pi] built on first use: every piece between the jump and the
+cuts has an even number of equal steps, so no pair of steps straddles
+either.
 
 A batch of lambda values is swept along a path as one (2, batch) state by
 one march over the cell ends, a product per cell.  The leftward march of
@@ -143,14 +147,17 @@ class _Grid:
     #: recently used first; filled and bounded by ``expansion._memo``, and
     #: dropped with the grid by ``build_grid.cache_clear()``
     memo: OrderedDict = field(default_factory=OrderedDict)
-    #: the grid's Simpson rule, built on first use by ``expansion._simpson_rule``
-    simpson: tuple | None = None
 
-    @property
-    def sides(self) -> tuple:
-        """(first node index, nodes, rho) of each side of the jump."""
-        rho = self.forward.rho
-        return ((0, self.xs[:self.ia + 1], rho[0]), (self.ia, self.xs[self.ia:], rho[-1]))
+    @cached_property
+    def quadrature(self) -> tuple:
+        """(w, halves): the rho-weighted Simpson weight of every node, the
+        jump's node taking the end weights of both sides, and the
+        :func:`_simpson_halves` of the whole grid.  Every side and piece has
+        an even number of steps, so no pair straddles the jump."""
+        w = np.zeros(len(self.xs))
+        w[:self.ia + 1] += _simpson_weights(self.xs[:self.ia + 1])
+        w[self.ia:] += self.forward.rho[-1] * _simpson_weights(self.xs[self.ia:])
+        return w, _simpson_halves(self.xs)
 
 
 def _cuts(config: ProblemConfig) -> list:
@@ -177,6 +184,27 @@ def _side_nodes(x0: float, x1: float, n: int, cuts) -> np.ndarray:
     parts = [np.linspace(edges[i], edges[i + 1], 2 * (ks[i + 1] - ks[i]) + 1)[:-1]
              for i in range(pieces)]
     return np.concatenate(parts + [[x1]])
+
+
+def _simpson_halves(x) -> np.ndarray:
+    """Simpson weights of the nodes ``x`` (an even number of steps), taken
+    pair of steps by pair: entry [j, i, k] weighs f(x[2k+i]) in the integral
+    over step j of pair k, h/12 (5, 8, -1) over the first step and
+    h/12 (-1, 8, 5) over the second, h being one step.  A pair never
+    straddles the jump or a cut, so its two steps are equal."""
+    h12 = (x[2::2] - x[:-2:2]) / 24.0
+    return np.array([[[5.0], [8.0], [-1.0]], [[-1.0], [8.0], [5.0]]]) * h12
+
+
+def _simpson_weights(x) -> np.ndarray:
+    """Per-node weights of the composite Simpson rule on ``x``: each pair of
+    steps adds the sum of its two halves, h/3 (1, 4, 1)."""
+    pair = _simpson_halves(x).sum(axis=0)
+    w = np.zeros(len(x))
+    w[:-2:2] += pair[0]
+    w[1::2] += pair[1]
+    w[2::2] += pair[2]
+    return w
 
 
 def _omega_rows(h, rho, p1, q1, p2, q2) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationOverflowError
 from .model import (PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight, mu)
-from . import charfn, eigensolver, expansion
+from . import charfn, eigensolver, integrator
 
 _PENALTY = 1e6
 
@@ -234,4 +234,4 @@ def potential_l2_distance(config_a: ProblemConfig, config_b: ProblemConfig) -> f
     xs = np.linspace(0.0, PI, 1025)
     dp = np.asarray(config_a.potential.p_at(xs)) - np.asarray(config_b.potential.p_at(xs))
     dq = np.asarray(config_a.potential.q_at(xs)) - np.asarray(config_b.potential.q_at(xs))
-    return float(np.sqrt(expansion._simpson_weights(xs) @ (dp ** 2 + dq ** 2)))
+    return float(np.sqrt(integrator._simpson_weights(xs) @ (dp ** 2 + dq ** 2)))

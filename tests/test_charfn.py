@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from diracbvp import charfn
-from diracbvp.errors import DomainError
+from diracbvp.errors import ConfigError, DomainError
 from diracbvp.model import PI, BoundaryParams, PotentialSpec, ProblemConfig, Weight
 
 from conftest import reference_config
@@ -110,6 +110,16 @@ def test_seed_phase_for_mixed_boundary_pair():
         potential=PotentialSpec.zero(), grid_points=64)
     assert charfn.seed_phase(cfg) == pytest.approx(-PI / 2.0)
     assert charfn.asymptotic_seed(cfg, 4) == pytest.approx(3.5)
+
+
+def test_seed_phase_rejects_an_underflowing_phase():
+    # k1 = k2 = 1, but b4 c4 = 1e-400 underflows, so num = den = 0
+    cfg = ProblemConfig(
+        boundary=BoundaryParams(1e200, 0.0, 0.0, 1e-200, 1e200, 0.0, 0.0, 1e-200),
+        weight=Weight(alpha=1.0, a=PI / 2.0),
+        potential=PotentialSpec.zero(), grid_points=64)
+    with pytest.raises(ConfigError, match="seed phase undefined"):
+        charfn.seed_phase(cfg)
 
 
 def test_envelope_dominates_at_large_lambda(r0):

@@ -83,6 +83,21 @@ def test_eigs_partial_results_on_missing_roots(tmp_path, config_path,
     assert len(read_csv(out / "eigs.csv")) == 3  # header + the recovered rows
 
 
+def test_eigs_with_no_certified_root_writes_only_the_manifest(tmp_path, monkeypatch,
+                                                             capsys):
+    # one scan step per window at one level certifies no root count
+    monkeypatch.setattr(eigensolver, "_SCAN_STEPS", 1)
+    monkeypatch.setattr(eigensolver, "_SCAN_LEVELS", 1)
+    path = tmp_path / "config.json"
+    save_config(reference_config(1.0, 256), path)
+    out = tmp_path / "out"
+    code = cli.main(["eigs", "--config", str(path),
+                     "--n-min", "-3", "--n-max", "3", "--out", str(out)])
+    assert code == cli.EXIT_PARTIAL
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert "[-3, -2, -1, 0, 1, 2, 3]" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert cli.main(["eigs", "--config", str(tmp_path / "nope.json"),
                      "--n-min", "0", "--n-max", "1",
@@ -401,11 +416,12 @@ def _invert_argv(tmp_path, data_doc, inverse_doc):
     ({"fingerprint": "x", "data": [{**_DATA_DOC["data"][0], "beta": True}]}, _INVERSE_DOC),
     (_DATA_DOC, {**_INVERSE_DOC, "init": "12"}),
     (_DATA_DOC, {**_INVERSE_DOC, "init": [0.0, "0"]}),
+    ({**_DATA_DOC, "fingerprint": ["x"]}, _INVERSE_DOC),
 ], ids=["no-basis", "short-init", "bad-m", "scalar-init", "list-document",
         "no-data", "no-lambda", "bad-lambda", "decreasing", "zero-budget",
         "negative-alpha", "nan-alpha", "infinite-lambda", "fractional-budget",
         "true-budget", "float-m", "fractional-n", "string-lambda", "true-beta",
-        "string-init", "string-init-entry"])
+        "string-init", "string-init-entry", "list-fingerprint"])
 def test_malformed_invert_inputs_are_io_errors(data_doc, inverse_doc, tmp_path,
                                                capsys):
     assert cli.main(_invert_argv(tmp_path, data_doc, inverse_doc)) == cli.EXIT_IO

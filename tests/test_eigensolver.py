@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from diracbvp import eigensolver
+from diracbvp import eigensolver, integrator
 from diracbvp.errors import MissingRootError, NonProportionalError
 from diracbvp.model import PI, PotentialSpec, ProblemConfig, Weight
 from dataclasses import replace
@@ -110,6 +110,17 @@ def test_seed_column_is_consistent(r0_small):
 
 def test_orthogonality_of_eigen_elements(r0, r0_small):
     assert eigensolver.orthogonality_check(r0, r0_small) < 1e-8
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_orthogonality_of_fewer_than_two_data_is_zero(r0, r0_small, size, monkeypatch):
+    calls = []
+    integrator.build_grid.cache_clear()     # so any eigen-element would propagate
+    monkeypatch.setattr(integrator, "propagate_many",
+                        lambda *args: calls.append(args))
+    data = eigensolver.SpectralDataSet(r0_small.fingerprint, r0_small.data[:size])
+    assert eigensolver.orthogonality_check(r0, data) == 0.0
+    assert calls == []
 
 
 def test_dataset_round_trip_and_lookup(tmp_path, r0_small):

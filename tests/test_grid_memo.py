@@ -226,19 +226,19 @@ def test_eigen_element_rows_do_not_depend_on_their_batch(config, take):
 
 def test_simpson_rule_is_built_once_per_grid(config, monkeypatch):
     calls = []
-    rule = expansion._simpson_weights
+    rule = integrator._simpson_weights
 
     def counted(x):
         calls.append(len(x))
         return rule(x)
 
-    monkeypatch.setattr(expansion, "_simpson_weights", counted)
+    monkeypatch.setattr(integrator, "_simpson_weights", counted)
     f, g = _elements(config)
     first = [expansion.gram(config, f, g), expansion.inner(config, g, g),
              expansion.resolvent_apply(config, RESOLVENT_LAMBDAS[0], f).ys]
     assert len(calls) == 2                 # one per side of the jump
     integrator.build_grid.cache_clear()
-    assert integrator.build_grid(config).simpson is None
+    assert "quadrature" not in integrator.build_grid(config).__dict__
     f, g = _elements(config)
     again = [expansion.gram(config, f, g), expansion.inner(config, g, g),
              expansion.resolvent_apply(config, RESOLVENT_LAMBDAS[0], f).ys]
