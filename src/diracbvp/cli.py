@@ -129,7 +129,7 @@ def cmd_weyl(args) -> int:
     lams = np.empty(ims.size * res.size, complex)   # im-major, as the rows are written
     lams.real = np.tile(res, ims.size)
     lams.imag = np.repeat(ims, res.size)
-    ms = weyl._direct_many(config, lams)[0]
+    ms = weyl.weyl_direct(config, lams)
     gap = ms - weyl.weyl_series(config, lams, data)
     _write_csv(out / "weyl.csv",
                ["re_lambda", "im_lambda", "re_m", "im_m", "series_defect"],
@@ -229,7 +229,7 @@ def _builtin_config(alpha: float, grid_points: int = 1024) -> ProblemConfig:
         grid_points=grid_points)
 
 
-def _selfcheck_rows(inject_failure: bool):
+def _selfcheck_rows():
     r0 = _builtin_config(1.0)
     r1 = _builtin_config(2.0)
     rows = []
@@ -271,17 +271,13 @@ def _selfcheck_rows(inject_failure: bool):
     gap_small = abs(weyl.weyl_series(r0, 1j, small) - m_direct)
     gap_big = abs(weyl.weyl_series(r0, 1j, data6) - m_direct)
     add("weyl_two_way", "R0", gap_big / max(gap_small, 1e-300), 1.0)
-
-    if inject_failure:
-        add("injected_failure", "R0", 1.0, 0.0)
     return rows
 
 
 def cmd_selfcheck(args) -> int:
     out = Path(args.out)
-    _write_manifest(out, "selfcheck", [],
-                    {"inject_failure": bool(args.inject_failure)})
-    rows = _selfcheck_rows(bool(args.inject_failure))
+    _write_manifest(out, "selfcheck", [], {})
+    rows = _selfcheck_rows()
     names, labels, values, thresholds, oks = zip(*rows)
     _write_csv(out / "selfcheck.csv", ["check", "config", "value", "threshold", "status"],
                [names, labels, values, thresholds, ["pass" if ok else "fail" for ok in oks]])
@@ -344,8 +340,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
     p.add_argument("--out", required=True)
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selfcheck)
     return parser
 

@@ -17,10 +17,10 @@ rho and samples.  rho multiplies the lambda part of each step's Omega, so
 Omega is affine in lambda alone and a sweep carries no rho.  A path builds
 its Omega rows on first use: those of the cell ends for every sweep, and
 those of the nodes inside a cell only for a trajectory.  The grid also
-carries the one quadrature of the package, a composite Simpson rule over
-all of [0, pi] built on first use: every piece between the jump and the
-cuts has an even number of equal steps, so no pair of steps straddles
-either.
+carries the one quadrature of functions sampled on it, a composite Simpson
+rule over all of [0, pi] built on first use: every piece between the jump
+and the cuts has an even number of equal steps, so no pair of steps
+straddles either.
 
 A batch of lambda values is swept along a path as one (2, batch) state by
 one march over the cell ends, a product per cell.  The leftward march of

@@ -230,8 +230,13 @@ def uniqueness_probe(config_a: ProblemConfig, config_b: ProblemConfig,
 
 
 def potential_l2_distance(config_a: ProblemConfig, config_b: ProblemConfig) -> float:
-    """L2 distance of the two potential pairs on [0, pi] (diagnostic)."""
-    xs = np.linspace(0.0, PI, 1025)
-    dp = np.asarray(config_a.potential.p_at(xs)) - np.asarray(config_b.potential.p_at(xs))
-    dq = np.asarray(config_a.potential.q_at(xs)) - np.asarray(config_b.potential.q_at(xs))
-    return float(np.sqrt(integrator._simpson_weights(xs) @ (dp ** 2 + dq ** 2)))
+    """L2 distance of the two potential pairs on [0, pi] (diagnostic), by the
+    two-point Gauss rule on 1024 steps with a node at every breakpoint of
+    either potential, so it is exact on piecewise-constant pairs."""
+    cuts = sorted({*integrator._cuts(config_a), *integrator._cuts(config_b)})
+    xs = integrator._side_nodes(0.0, PI, 1024, cuts)
+    h = np.diff(xs)
+    xg = np.concatenate([xs[:-1] + g * h for g in integrator._GAUSS])
+    pa, pb = config_a.potential, config_b.potential
+    d2 = (pa.p_at(xg) - pb.p_at(xg)) ** 2 + (pa.q_at(xg) - pb.q_at(xg)) ** 2
+    return float(np.sqrt(np.tile(0.5 * h, 2) @ d2))

@@ -2,7 +2,9 @@
 
 The boundary trace M(lambda) has simple poles exactly at the eigenvalues
 with residues 1/alpha_n, giving the partial-fraction representation checked
-here against the direct boundary-value formula.
+here against the direct boundary-value formula.  Both routes take a value
+or an array of lambda: ``weyl_direct`` sweeps an array as one psi(0)-only
+batch, and ``weyl_series`` sums each value in the same order as alone.
 """
 from __future__ import annotations
 
@@ -54,14 +56,16 @@ def _direct_from_psi0(config: ProblemConfig, lams, psi0):
     return -(b.b4 * psi1 + b.b3 * psi2) / (b.k1 * dvals), dvals
 
 
-def _direct_many(config: ProblemConfig, lams):
-    """(M, Delta) arrays at ``lams`` from one psi(0)-only sweep."""
-    return _direct_from_psi0(config, lams, integrator.psi0_many(config, lams))
+def weyl_direct(config: ProblemConfig, lam):
+    """Boundary trace of the Weyl solution at lambda (off the spectrum).
 
-
-def weyl_direct(config: ProblemConfig, lam) -> complex:
-    """Boundary trace of the Weyl solution at lambda (off the spectrum)."""
-    return complex(_direct_many(config, lam)[0][0])
+    ``lam`` may be an array, swept as one psi(0)-only batch; each value has
+    the bits it has alone, and a scalar ``lam`` gives a ``complex``.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    lams = lam.ravel()
+    ms = _direct_from_psi0(config, lams, integrator.psi0_many(config, lams))[0]
+    return complex(ms[0]) if lam.ndim == 0 else ms.reshape(lam.shape)
 
 
 def weyl_series(config: ProblemConfig, lam, data):
@@ -133,7 +137,7 @@ def residue_check(config: ProblemConfig, datum) -> float:
     lam_n = datum.lambda_n
     radius = 1e-3
     points = lam_n + radius * np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]) * np.pi)
-    ms = _direct_many(config, points)[0]
+    ms = weyl_direct(config, points)
     estimate = np.mean((points - lam_n) * ms)
     target = 1.0 / datum.alpha_n
     return float(abs(estimate - target) / abs(target))

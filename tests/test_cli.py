@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from diracbvp import cli, eigensolver, integrator, inverse
+from diracbvp import cli, eigensolver, integrator, inverse, weyl
 from diracbvp.errors import ConfigError, MissingRootError
 from diracbvp.model import PotentialSpec, config_to_dict, save_config
 
@@ -473,8 +473,10 @@ def test_selfcheck_passes_and_prints_table(tmp_path, capsys):
     assert all(r[4] == "pass" for r in rows[1:])
 
 
-def test_selfcheck_detects_injected_failure(tmp_path, capsys):
+def test_selfcheck_detects_injected_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weyl, "residue_check", lambda config, datum: 1.0)
     out = tmp_path / "out"
-    assert cli.main(["selfcheck", "--inject-failure",
-                     "--out", str(out)]) == cli.EXIT_SELFCHECK
+    assert cli.main(["selfcheck", "--out", str(out)]) == cli.EXIT_SELFCHECK
     assert "FAIL" in capsys.readouterr().out
+    rows = {r[0]: r for r in read_csv(out / "selfcheck.csv")[1:]}
+    assert rows["residue_at_ground"][2:] == ["1.0", "0.001", "fail"]

@@ -1,5 +1,6 @@
 """Inverse problem: parametrization, misfit totality, small round trips."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,3 +225,28 @@ def test_potential_distance_frozen_value(small_truth):
     expected = math.sqrt(PI * 0.05)
     assert inverse.potential_l2_distance(zero, small_truth) == \
         pytest.approx(expected, rel=1e-6)
+
+
+def piecewise_l2(pa, qa, pb, qb):
+    """Closed-form L2 distance on [0, pi] of two piecewise-constant pairs,
+    summed over the common refinement of their segments."""
+    total = 0.0
+    for u, v in ((pa, pb), (qa, qb)):
+        edges = sorted({Fraction(k, len(w)) for w in (u, v) for k in range(len(w) + 1)})
+        for lo, hi in zip(edges, edges[1:]):
+            mid = (lo + hi) / 2
+            total += PI * float(hi - lo) * (u[int(mid * len(u))] - v[int(mid * len(v))]) ** 2
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("pa, qa, pb, qb", [
+    ((0.3, -0.2, 0.1), (-0.1, 0.25), (0.0,), (0.0,)),
+    ((0.3, -0.2), (-0.1, 0.25), (0.0,), (0.0,)),
+    ((0.3, -0.2), (-0.1, 0.25), (0.1, 0.4, -0.3), (0.2, -0.15, 0.05)),
+], ids=["m3-vs-zero", "m2-vs-zero", "m2-vs-m3"])
+def test_potential_distance_is_exact_on_piecewise_pairs(pa, qa, pb, qb):
+    base = reference_config(alpha=2.0, grid_points=256)
+    a = replace(base, potential=PotentialSpec.piecewise(pa, qa))
+    b = replace(base, potential=PotentialSpec.piecewise(pb, qb))
+    assert inverse.potential_l2_distance(a, b) == \
+        pytest.approx(piecewise_l2(pa, qa, pb, qb), rel=1e-13)

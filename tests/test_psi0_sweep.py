@@ -38,7 +38,7 @@ def test_psi0_sweep_equals_trajectory_route(potential, complex_part, size):
     lams = lambdas(size, complex_part)
     delta, m = trajectory_route(config, lams)
     assert np.array_equal(charfn.delta_many(config, lams), delta)
-    assert np.array_equal(weyl._direct_many(config, lams)[0], m)
+    assert np.array_equal(weyl.weyl_direct(config, lams), m)
     assert delta.shape == m.shape == (size,)
 
 
@@ -49,15 +49,15 @@ def test_value_alone_equals_value_in_a_large_batch(potential):
     lams = lambdas(5000, True)
     lams[[0, 2500, 4999]] = picks
     deltas = charfn.delta_many(config, lams)
-    ms = weyl._direct_many(config, lams)[0]
+    ms = weyl.weyl_direct(config, lams)
     for i, lam in zip([0, 2500, 4999], picks):
         assert np.array_equal(charfn.delta_many(config, lam), deltas[i:i + 1])
-        assert np.array_equal(weyl._direct_many(config, lam)[0], ms[i:i + 1])
+        assert np.array_equal(weyl.weyl_direct(config, [lam]), ms[i:i + 1])
         assert weyl.weyl_direct(config, lam) == ms[i]
 
 
-@pytest.mark.parametrize("route", [charfn.delta_many, weyl._direct_many],
-                         ids=["delta_many", "direct_many"])
+@pytest.mark.parametrize("route", [charfn.delta_many, weyl.weyl_direct],
+                         ids=["delta_many", "weyl_direct"])
 def test_psi0_sweep_peak_memory(route):
     config = reference_config(2.0, 512)
     lams = np.linspace(-20.0, 20.0, 5000) + 0.5j

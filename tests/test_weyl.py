@@ -7,8 +7,8 @@ lambda = 1/2.
 import numpy as np
 import pytest
 
-from diracbvp import eigensolver, weyl
-from diracbvp.errors import PoleError
+from diracbvp import charfn, eigensolver, weyl
+from diracbvp.errors import IntegrationOverflowError, PoleError
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,26 @@ def test_pole_raises_typed_error(r0):
     with pytest.raises(PoleError) as exc:
         weyl.weyl_direct(r0, 0.0)   # the origin is an eigenvalue
     assert abs(exc.value.nearest) < 1e-6
+
+
+@pytest.mark.parametrize("delta_dot", [IntegrationOverflowError(0.0), 0.0],
+                         ids=["raises", "zero"])
+def test_pole_estimate_falls_back_to_lambda(r0, monkeypatch, delta_dot):
+    # just off a root, where one Newton step would move the estimate
+    lam = eigensolver.find_eigenvalues(r0, 1, 1)[0].lambda_n + 1e-10
+    with pytest.raises(PoleError) as exc:
+        weyl.weyl_direct(r0, lam)
+    assert exc.value.nearest != complex(lam)
+
+    def fake_delta_dot(config, lam):
+        if isinstance(delta_dot, Exception):
+            raise delta_dot
+        return delta_dot
+
+    monkeypatch.setattr(charfn, "delta_dot", fake_delta_dot)
+    with pytest.raises(PoleError) as exc:
+        weyl.weyl_direct(r0, lam)
+    assert exc.value.nearest == complex(lam)
 
 
 def test_series_needs_data(r0):
