@@ -6,7 +6,9 @@ its zeros are the eigenvalues.  Three algebraically equivalent expressions
 phi) are evaluated side by side as a numerical self-check.  At real lambda,
 :func:`complex_step` is the one source of psi(0), Delta and Delta-dot for
 the root refiner and the per-root quantities: one psi(0) sweep at
-lambda + ih gives all three.
+lambda + ih gives all three.  Where a batch takes an
+:class:`integrator.ConfigStack` in place of the config, each lambda is
+evaluated on its own config, with the bits it has alone.
 """
 from __future__ import annotations
 

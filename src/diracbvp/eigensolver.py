@@ -134,18 +134,21 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
 def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
     """Batched bracketed Newton: one root of Delta in each bracket [lo, hi].
     Returns a (5, k) array: the k roots, then the rows of :func:`_from_sweep`
-    at them.
+    at them.  ``config`` is a config, or an :class:`integrator.ConfigStack`
+    with one owner per bracket.
 
     ``flo`` and ``fhi`` are Delta at the bracket ends and must not share a
     sign; the first iterate c is their regula falsi point.  Each sweep is one
     :func:`charfn.complex_step` at c, which gives psi(0), Delta and Delta-dot
-    there.  The end with the sign of Delta(c) moves to c, and c moves to the
-    Newton point if it lies in the closed bracket, else to the midpoint; a
-    root whose Newton step is not yet within the tolerance also bisects when
-    its Newton point is the far end of its bracket.  Every sweep evaluates
-    the whole batch; Delta at a point does not depend on its batch, so the
-    loop needs no index bookkeeping, and the last sweep's rows give the
-    per-root quantities.
+    there.  A root whose Newton step or bracket is within the tolerance is
+    converged and stays where it is.  Elsewhere the end with the sign of
+    Delta(c) moves to c, and c moves to the Newton point if it lies in the
+    closed bracket, else to the midpoint; it also bisects when its Newton
+    point is the far end of its bracket.  Every sweep evaluates the whole
+    batch; Delta at a point does not depend on its batch, so a converged
+    root keeps its values, the loop needs no index bookkeeping, each root
+    has the bits it has alone, and the last sweep's rows give the per-root
+    quantities.
     """
     a, b = np.array(lo, float), np.array(hi, float)
     neg_a = np.signbit(flo)
@@ -165,8 +168,9 @@ def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
         # where Delta's rounding holds the Newton step above the tolerance,
         # the Newton point can land on the bracket's far end, which would
         # leave the bracket as it is
-        stuck = ~near & (newton == np.where(moves_a, b, a))
-        c = np.where((a <= newton) & (newton <= b) & ~stuck, newton, 0.5 * (a + b))
+        stuck = newton == np.where(moves_a, b, a)
+        c = np.where(near, c, np.where((a <= newton) & (newton <= b) & ~stuck,
+                                       newton, 0.5 * (a + b)))
     raise RootRefinementError(_MAX_SWEEPS, c[~near])
 
 

@@ -25,17 +25,22 @@ straddles either.
 A batch of lambda values is swept along a path as one (2, batch) state by
 one march over the cell ends, a product per cell.  The leftward march of
 psi ends on psi(0), which :func:`psi0_many` returns: all that Delta and the
-Weyl function read, in memory that does not grow with the grid.  :func:`propagate_many` writes each cell
-end of the same march into one (N+1, 2, batch) buffer allocated once, then
-fills the nodes inside each cell of several steps by one blocked fan-out
-from the cell's first state, so psi(0) has the trajectory's bits by
-construction.  It returns the buffer as its (batch, N+1, 2) transpose,
-without a copy; a leftward propagation sweeps the leftward path, of
-reversed, negated cells, into a reversed view of the buffer.  Matrices are
-built a run of columns at a time in one vectorised pass, and a product for
-the whole batch is two ufunc calls; the run length bounds the temporaries
-and changes no value.  The scalar entry points run a batch of one through
-:func:`propagate`.
+Weyl function read, in memory that does not grow with the grid.  A
+:class:`ConfigStack` of configs that share their boundary forms sweeps all
+their lambda in that one march: the cell-end rows carry a trailing axis of
+one column per config, each lambda reads its own config's column, and a
+shorter path is padded with zero rows, whose step is the identity, so each
+lambda's psi(0) has the bits of its own config's sweep.
+:func:`propagate_many` writes each cell end of the same march into one
+(N+1, 2, batch) buffer allocated once, then fills the nodes inside each
+cell of several steps by one blocked fan-out from the cell's first state,
+so psi(0) has the trajectory's bits by construction.  It returns the
+buffer as its (batch, N+1, 2) transpose, without a copy; a leftward
+propagation sweeps the leftward path, of reversed, negated cells, into a
+reversed view of the buffer.  Matrices are built a run of columns at a time
+in one vectorised pass, and a product for the whole batch is two ufunc
+calls; the run length bounds the temporaries and changes no value.  The
+scalar entry points run a batch of one through :func:`propagate`.
 """
 from __future__ import annotations
 
@@ -265,16 +270,18 @@ def build_grid(config: ProblemConfig) -> _Grid:
 def _step_matrices(rows: np.ndarray, lams: np.ndarray, m: np.ndarray) -> np.ndarray:
     """exp(Omega) of each of the k columns of ``rows`` at every lambda,
     written into and returned as m[:k], m[j, 0] = (r11, r21),
-    m[j, 1] = (r12, r22).
+    m[j, 1] = (r12, r22).  ``rows`` is (6, k, 1), one column of rows for
+    the whole batch, or (6, k, batch), one for each lambda.
 
     Omega is trace-free, so exp(Omega) = cos(w) I + (sin(w) / w) Omega, even
     in w, with z = w^2 = -(Omega11^2 + Omega12 Omega21).  With w = x + iy,
     cos(w) and sin(w) come from the real sin and cos of x and sinh and cosh
     of y, and sin(w) / w is one complex division; where |w|^2 < ``_SERIES_Z``
-    both are series in z, so a matrix stays holomorphic in lambda at w = 0.
-    A block with no such entry takes no series.
+    both are series in z, so a matrix stays holomorphic in lambda at w = 0,
+    and zero rows give the identity.  A block with no such entry takes no
+    series.
     """
-    a0, a1, b0, b1, c0, c1 = rows[:, :, None]
+    a0, a1, b0, b1, c0, c1 = rows
     o11, o12, o21 = a0 + lams * a1, b0 + lams * b1, c0 + lams * c1
     z = -(o11 * o11 + o12 * o21)
     w = np.sqrt(z)
@@ -300,21 +307,23 @@ def _step_matrices(rows: np.ndarray, lams: np.ndarray, m: np.ndarray) -> np.ndar
     return mb
 
 
-def _blocks(rows: np.ndarray, lams: np.ndarray):
-    """(first column, matrices) of each run of k columns of ``rows``, with
-    k * batch near ``_BLOCK``, built at once into one (k, 2, 2, batch)
-    buffer, so column j reads one contiguous (2, 2, batch) block."""
+def _blocks(rows: np.ndarray, lams: np.ndarray, owner=slice(None)):
+    """(first column, matrices) of each run of k columns of the (6, K, c)
+    ``rows``, with k * batch near ``_BLOCK``, built at once into one
+    (k, 2, 2, batch) buffer, so column j reads one contiguous (2, 2, batch)
+    block.  Lambda b reads the rows rows[:, :, owner[b]]; the default
+    ``owner`` keeps the one trailing column for the whole batch."""
     k = min(rows.shape[1], max(1, _BLOCK // max(1, len(lams))))
     m = np.empty((k, 2, 2, len(lams)), dtype=complex)
     for j0 in range(0, rows.shape[1], k):
-        yield j0, _step_matrices(rows[:, j0:j0 + k], lams, m)
+        yield j0, _step_matrices(rows[:, j0:j0 + k, owner], lams, m)
 
 
-def _march(rows: np.ndarray, lams: np.ndarray, state: np.ndarray, out=None,
-           nodes=None) -> None:
+def _march(rows: np.ndarray, owner, lams: np.ndarray, state: np.ndarray,
+           out=None, nodes=None) -> None:
     """Multiply the (2, batch) ``state``, in place, by exp(Omega) of each
-    column of ``rows`` in turn; given ``out``, write the state after column
-    j into out[nodes[j]].
+    column of ``rows`` in turn (see :func:`_blocks` for ``owner``); given
+    ``out``, write the state after column j into out[nodes[j]].
 
     A product is two ufunc calls: m[j, c, r] * state[c] into a (2, 2, batch)
     scratch, and the sum of its two columns into ``state``, r11 y1 + r12 y2
@@ -324,7 +333,7 @@ def _march(rows: np.ndarray, lams: np.ndarray, state: np.ndarray, out=None,
     t = np.empty((2, 2, len(lams)), dtype=complex)
     t0, t1 = t
     column = state[:, None]
-    for j0, mb in _blocks(rows, lams):
+    for j0, mb in _blocks(rows, lams, owner):
         for j, m_j in enumerate(mb, j0):
             np.multiply(m_j, column, out=t)
             np.add(t0, t1, out=state)
@@ -334,30 +343,32 @@ def _march(rows: np.ndarray, lams: np.ndarray, state: np.ndarray, out=None,
 
 def _fan_out(rows: np.ndarray, lams: np.ndarray, state: np.ndarray,
              out: np.ndarray) -> None:
-    """Write exp(Omega) of column j of ``rows`` times the (2, batch)
-    ``state`` into out[j] for every column, a block at a time with the
-    products and sums of :func:`_march`, the products in place of the
-    matrices."""
+    """Write exp(Omega) of column j of the (6, k, 1) ``rows`` times the
+    (2, batch) ``state`` into out[j] for every column, a block at a time
+    with the products and sums of :func:`_march`, the products in place of
+    the matrices."""
     column = state[:, None]
     for j0, mb in _blocks(rows, lams):
         np.multiply(mb, column, out=mb)
         np.add(mb[:, 0], mb[:, 1], out=out[j0:j0 + len(mb)])
 
 
-def _sweep(path: _Path, lams: np.ndarray, init, out=None) -> np.ndarray:
-    """Sweep ``path`` from the (2, batch) state ``init`` and return the state
-    it ends on, taking one product per cell; given ``out`` (N+1, 2, batch)
-    in sweep order, also write the state at every cell end into it, and then
-    every node inside a cell as one product with the state at the cell's
-    first node.  The cell ends are the same march either way, so psi(0) has
-    the same bits with and without a trajectory."""
+def _sweep(rows: np.ndarray, owner, lams: np.ndarray, init, out=None,
+           path=None) -> np.ndarray:
+    """March the (2, batch) state ``init`` over the cell-end ``rows`` (see
+    :func:`_blocks` for ``owner``) and return the state it ends on.  Given a
+    buffer ``out`` (N+1, 2, batch) in the sweep order of the one ``path``
+    whose rows these are, also write the state at every cell end into it,
+    and then every node inside a cell as one product with the state at the
+    cell's first node.  The cell ends are the same march either way, so
+    psi(0) has the same bits with and without a trajectory."""
     state = np.array(init, dtype=complex, order="C")
     # non-finite states are detected and reported by the caller; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _march(path.end_omega, lams, state, out, path.ends)
+        _march(rows, owner, lams, state, out, None if out is None else path.ends)
         if out is not None:
-            for c0, c1, rows in path.inner:
-                _fan_out(rows, lams, out[c0], out[c0 + 1:c1])
+            for c0, c1, inner in path.inner:
+                _fan_out(inner[:, :, None], lams, out[c0], out[c0 + 1:c1])
     return state
 
 
@@ -367,6 +378,41 @@ def _check_finite(lams: np.ndarray, states: np.ndarray) -> None:
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise IntegrationOverflowError(complex(lams[np.argmin(finite)]))
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigStack:
+    """Configs that share their boundary forms, and the config of each
+    lambda of a batch: ``owner[b]`` indexes ``configs``.  Passed where a
+    config is, a stack sweeps every lambda of the batch on its own config's
+    grid in one march; the boundary forms, and so the initial values of the
+    named solutions and Delta's U1 form, are the shared ones."""
+
+    configs: tuple
+    owner: np.ndarray
+
+    def __post_init__(self):
+        if any(c.boundary != self.configs[0].boundary for c in self.configs):
+            raise ValueError("the configs of a stack must share their boundary forms")
+
+    @property
+    def boundary(self):
+        return self.configs[0].boundary
+
+
+def _end_rows(config):
+    """(rows, owner) of the psi(0) sweep of a config or a
+    :class:`ConfigStack`: the cell-end rows of each leftward path, a
+    trailing column each, padded with zero rows to the longest path, and
+    the column of each lambda; one config's rows serve the whole batch."""
+    configs = config.configs if isinstance(config, ConfigStack) else (config,)
+    if len(configs) == 1:
+        return build_grid(configs[0]).backward.end_omega[:, :, None], slice(None)
+    ends = [build_grid(c).backward.end_omega for c in configs]
+    rows = np.zeros((6, max(e.shape[1] for e in ends), len(ends)))
+    for i, e in enumerate(ends):
+        rows[:, :e.shape[1], i] = e
+    return rows, config.owner
 
 
 def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
@@ -387,16 +433,18 @@ def propagate_many(config: ProblemConfig, lams, inits, endpoint: str):
     buf = np.empty((len(grid.xs), 2, len(lams)), dtype=complex)
     path, view = (grid.forward, buf) if endpoint == "left" else (grid.backward, buf[::-1])
     view[0].T[...] = inits
-    _check_finite(lams, _sweep(path, lams, view[0], view).T)
+    end = _sweep(path.end_omega[:, :, None], slice(None), lams, view[0], view, path)
+    _check_finite(lams, end.T)
     return grid.xs, buf.transpose(2, 0, 1), grid.ia
 
 
-def psi0_many(config: ProblemConfig, lams) -> np.ndarray:
+def psi0_many(config, lams) -> np.ndarray:
     """psi(0) of :func:`psi_many` as a (batch, 2) array, from the same sweep
-    without keeping the trajectory."""
+    without keeping the trajectory.  ``config`` is a config, or a
+    :class:`ConfigStack` with one owner per lambda."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     inits = psi_init(config, lams)
-    psi0 = _sweep(build_grid(config).backward, lams, inits.T).T
+    psi0 = _sweep(*_end_rows(config), lams, inits.T).T
     _check_finite(lams, psi0)
     return psi0
 

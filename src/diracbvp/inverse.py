@@ -10,7 +10,12 @@ eigensolver's, and each root goes to one target only, the nearest.  A target
 with no root within half a spacing, or whose root went to another target,
 contributes a penalty residual instead of raising, and so does every target
 when Delta, or the candidate potential on its grid, overflows; the objective
-stays total.
+stays total.  The residuals of several candidates are one evaluation: one
+scan batch and one refiner loop over all their windows and brackets, on an
+:class:`integrator.ConfigStack`, so the 2m candidates of a Jacobian take
+the Newton sweeps of the slowest of them; each candidate's roots are then
+matched on their own, and its residuals have the bits of its own
+evaluation.  A lone candidate runs on its own config.
 """
 from __future__ import annotations
 
@@ -107,33 +112,84 @@ def synthesize_data(config: ProblemConfig, N: int) -> eigensolver.SpectralDataSe
 # Root matching: one scan of the targets' windows
 # ---------------------------------------------------------------------------
 
-def _match_roots(config: ProblemConfig, targets: np.ndarray, half: float):
-    """Nearest root of Delta to each target and its alpha_n, or NaN for both
-    where no root lies within ``half`` or the root is nearer another target,
-    from one scan of the windows [t - half, t + half] of all targets."""
+def _on(configs: tuple, owner: np.ndarray):
+    """The config argument of a batch whose lambda b is on configs[owner[b]]:
+    the config itself when it is the only one, so a lone candidate takes the
+    plain path."""
+    return configs[0] if len(configs) == 1 else integrator.ConfigStack(configs, owner)
+
+
+def _match_roots(configs, targets: np.ndarray, half: float) -> np.ndarray:
+    """For each of ``configs``, the nearest root of its Delta to each target
+    and its alpha_n, as a (2, configs, targets) array, NaN for both where no
+    root lies within ``half`` or the root is nearer another target.  One
+    scan batch samples the windows [t - half, t + half] of all targets for
+    every config, at the points of a lone config; brackets open within a
+    config only, one refiner loop refines them all, and each config's
+    roots are then matched on their own."""
     # every target is a sample point: near the truth the regula falsi start
     # is already converged, and Newton stops after one sweep
     pts = np.unique(targets[:, None] + np.linspace(-half, half, eigensolver._SCAN_STEPS + 1))
-    vals = charfn.delta_many(config, pts).real
+    configs = tuple(configs)
+    owner = np.repeat(np.arange(len(configs)), len(pts))
+    pts = np.tile(pts, len(configs))
+    vals = charfn.delta_many(_on(configs, owner), pts).real
     j = eigensolver._sign_changes(vals)
+    j = j[owner[j] == owner[j + 1]]
+    found = np.full((2, len(configs), len(targets)), np.nan)
     if len(j) == 0:
-        return np.full((2, len(targets)), np.nan)
-    roots, alphas = eigensolver._refine_roots(config, pts[j], pts[j + 1],
-                                              vals[j], vals[j + 1])[:2]
-    dist = np.abs(targets[:, None] - roots)
-    nearest = np.argmin(dist, axis=1)
-    # a root is one eigenvalue, so only the target nearest to it keeps it; a
-    # match farther than the half-spacing window is a miss, never re-indexed
-    ok = np.argmin(dist, axis=0)[nearest] == np.arange(len(targets))
-    ok &= np.abs(roots[nearest] - targets) <= half
-    return np.where(ok, [roots[nearest], alphas[nearest]], np.nan)
+        return found
+    refined = eigensolver._refine_roots(_on(configs, owner[j]), pts[j], pts[j + 1],
+                                        vals[j], vals[j + 1])[:2]
+    for i in range(len(configs)):
+        roots, alphas = refined[:, owner[j] == i]
+        if len(roots) == 0:
+            continue
+        dist = np.abs(targets[:, None] - roots)
+        nearest = np.argmin(dist, axis=1)
+        # a root is one eigenvalue, so only the target nearest to it keeps
+        # it; a match farther than the half-spacing window is a miss, never
+        # re-indexed
+        ok = np.argmin(dist, axis=0)[nearest] == np.arange(len(targets))
+        ok &= np.abs(roots[nearest] - targets) <= half
+        found[:, i] = np.where(ok, [roots[nearest], alphas[nearest]], np.nan)
+    return found
 
 
 def _data_residuals(w, lams, lams_star, alphas, alphas_star) -> np.ndarray:
-    """sqrt(w)(lambda - lambda*) stacked on sqrt(w)(log alpha - log alpha*)."""
+    """sqrt(w)(lambda - lambda*) stacked on sqrt(w)(log alpha - log alpha*),
+    along the last axis."""
     sw = np.sqrt(w)
     return np.concatenate([sw * (lams - lams_star),
-                           sw * (np.log(alphas) - np.log(alphas_star))])
+                           sw * (np.log(alphas) - np.log(alphas_star))], axis=-1)
+
+
+def _stacked_residuals(problem: InverseProblem, stack) -> np.ndarray:
+    """:func:`residuals` of each parameter vector of ``stack``, one row
+    each, from one :func:`_match_roots`.  When Delta overflows in the
+    targets' windows of one candidate, or its potential does on its grid,
+    the candidates are evaluated one at a time, so that one alone takes the
+    penalty."""
+    configs = [problem.make_config(params) for params in stack]
+    targets = problem.target.lambdas()
+    alphas_star = problem.target.alphas()
+    w = problem.weights()
+    half = PI / (2.0 * mu(PI, problem.weight))
+
+    try:
+        roots, alphas = _match_roots(configs, targets, half)
+    except (IntegrationOverflowError, ConfigError):
+        if len(configs) > 1:
+            return np.array([_stacked_residuals(problem, [params])[0] for params in stack])
+        # Delta overflows in the targets' windows, or the candidate's p or q
+        # does on its grid: no target has a match
+        roots = alphas = np.full((1, len(targets)), np.nan)
+    # a norming constant is positive; a match without one is no eigenvalue
+    ok = np.isfinite(alphas) & (alphas > 0.0)
+    r = _data_residuals(w, np.where(ok, roots, targets), targets,
+                        np.where(ok, alphas, alphas_star), alphas_star)
+    r[:, :len(targets)] = np.where(ok, r[:, :len(targets)], np.sqrt(w * _PENALTY))
+    return r
 
 
 def residuals(problem: InverseProblem, params) -> np.ndarray:
@@ -142,24 +198,7 @@ def residuals(problem: InverseProblem, params) -> np.ndarray:
     sqrt(w * penalty) for lambda and 0 for alpha.  Every target is unmatched
     when the propagation overflows in the targets' windows, or the candidate
     potential is not finite on its grid."""
-    config = problem.make_config(params)
-    targets = problem.target.lambdas()
-    alphas_star = problem.target.alphas()
-    w = problem.weights()
-    half = PI / (2.0 * mu(PI, problem.weight))
-
-    try:
-        roots, alphas = _match_roots(config, targets, half)
-    except (IntegrationOverflowError, ConfigError):
-        # Delta overflows in the targets' windows, or the candidate's p or q
-        # does on its grid: no target has a match
-        roots = alphas = np.full(len(targets), np.nan)
-    # a norming constant is positive; a match without one is no eigenvalue
-    ok = np.isfinite(alphas) & (alphas > 0.0)
-    r = _data_residuals(w, np.where(ok, roots, targets), targets,
-                        np.where(ok, alphas, alphas_star), alphas_star)
-    r[:len(targets)][~ok] = np.sqrt(w[~ok] * _PENALTY)
-    return r
+    return _stacked_residuals(problem, [params])[0]
 
 
 def misfit(problem: InverseProblem, params) -> float:
@@ -176,10 +215,17 @@ def reconstruct(problem: InverseProblem, init,
     """Fit the potential parameters to the target data by one
     Levenberg-Marquardt solve on :func:`residuals`.
 
-    Every residual evaluation counts against ``max_evals``, the ones of the
-    finite-difference Jacobian included; the solve stops after exactly that
-    many.  ``trace`` holds the best misfit after each evaluation, and
-    ``converged`` is the solver's own success, False when the budget ran out.
+    The Jacobian is scipy's 2-point rule, h = sign(x) sqrt(eps) max(1, |x|)
+    and dx = (x + h) - x per parameter, from the residuals the solve last
+    took, at x, and those of the 2m candidates x + h e_k, evaluated as one
+    stack.  Every residual evaluation counts against ``max_evals``, the
+    candidates included, in the order scipy's own differences take them;
+    the solve stops after exactly that many.  A second request for the
+    residuals or the Jacobian at the point just evaluated, as scipy before
+    1.16 makes at the start, evaluates nothing.  ``trace`` holds the best
+    misfit after each evaluation, and ``converged`` is the solver's own
+    success, False when the budget ran out.  ``init`` must fit the basis,
+    with finite values.
     """
     if max_evals < 1:
         raise ConfigError(f"max_evals = {max_evals} must be >= 1")
@@ -187,26 +233,54 @@ def reconstruct(problem: InverseProblem, init,
     from scipy.optimize import least_squares
 
     init = np.asarray(init, dtype=float)
-    if init.shape != (problem.basis.dim,):
-        raise ConfigError(
-            f"expected {problem.basis.dim} initial parameters, got {init.shape}")
+    problem.basis.to_potential(init)    # raises ConfigError unless init fits the basis
 
     trace: list = []
     best = {"x": init.copy(), "f": np.inf}
+    # the solver's last residual evaluation: its point, its residuals and,
+    # once taken there, the Jacobian, which serve a repeated request
+    last = {"x": None, "r": None, "J": None}
 
-    def objective(x):
-        # scipy's "lm" does not count its Jacobian evaluations against max_nfev
-        if len(trace) >= max_evals:
-            raise _BudgetSpent
-        r = residuals(problem, x)
+    def record(x, r):
         f = float(np.sum(r ** 2))
         if f < best["f"]:
             best["f"], best["x"] = f, np.array(x)
         trace.append(best["f"])
+
+    def objective(x):
+        if np.array_equal(x, last["x"]):
+            return last["r"]
+        # scipy's "lm" does not count its Jacobian evaluations against max_nfev
+        if len(trace) >= max_evals:
+            raise _BudgetSpent
+        r = residuals(problem, x)
+        record(x, r)
+        last.update(x=np.array(x), r=r, J=None)
         return r
 
+    def jacobian(x):
+        # scipy evaluates the residuals at x first unless x is its last point
+        r0 = objective(x)
+        if last["J"] is not None:
+            return last["J"]
+        h = (np.finfo(float).eps ** 0.5 * np.where(x >= 0.0, 1.0, -1.0)
+             * np.maximum(1.0, np.abs(x)))
+        stack = np.tile(x, (len(x), 1))
+        np.fill_diagonal(stack, x + h)
+        # the budget may end inside the Jacobian
+        stack = stack[:max_evals - len(trace)]
+        if len(stack) == 0:
+            raise _BudgetSpent
+        rs = _stacked_residuals(problem, stack)
+        for xk, rk in zip(stack, rs):
+            record(xk, rk)
+        if len(stack) < len(x):
+            raise _BudgetSpent
+        last["J"] = ((rs - r0) / ((x + h) - x)[:, None]).T
+        return last["J"]
+
     try:
-        converged = bool(least_squares(objective, init, method="lm").success)
+        converged = bool(least_squares(objective, init, jac=jacobian, method="lm").success)
     except _BudgetSpent:
         converged = False
 

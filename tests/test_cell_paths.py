@@ -200,7 +200,7 @@ def test_series_entries_leave_the_other_columns_bits():
 
     def block(lams):
         m = np.empty((rows.shape[1], 2, 2, len(lams)), dtype=complex)
-        return integrator._step_matrices(rows, lams, m)
+        return integrator._step_matrices(rows[:, :, None], lams, m)
 
     mixed, plain = block(lams), block(lams[1:])
     assert np.array_equal(mixed[..., 1:], plain)

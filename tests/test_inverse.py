@@ -89,10 +89,10 @@ def test_match_roots_returns_the_nearest_root_not_the_nearest_bracket(monkeypatc
         return phi_init(config, lams) - poly[:, None] * np.array([1.0, 0.0])
 
     monkeypatch.setattr(integrator, "psi0_many", psi0_many)
-    found = inverse._match_roots(reference_config(), np.array([0.0, 3.1]), 1.0)[0]
+    found = inverse._match_roots([reference_config()], np.array([0.0, 3.1]), 1.0)[0, 0]
     np.testing.assert_allclose(found, [0.26, 3.0], rtol=0.0, atol=1e-14)
     # no sign change in the window [0.8, 2.8]: a miss, not an error
-    assert np.isnan(inverse._match_roots(reference_config(), np.array([1.8]), 1.0)).all()
+    assert np.isnan(inverse._match_roots([reference_config()], np.array([1.8]), 1.0)).all()
 
 
 def _delta_batch_sizes(problem, params):
@@ -124,7 +124,7 @@ def test_residuals_scan_the_target_windows_once(small_problem):
 def test_matched_alphas_are_the_refiners(small_problem, params):
     config = small_problem.make_config(params)
     half = PI / (2.0 * mu(PI, small_problem.weight))
-    roots, alphas = inverse._match_roots(config, small_problem.target.lambdas(), half)
+    roots, alphas = inverse._match_roots([config], small_problem.target.lambdas(), half)[:, 0]
     assert np.array_equal(alphas, eigensolver._per_root(config, roots)[0])
 
 
@@ -169,7 +169,7 @@ def test_a_root_goes_only_to_its_nearest_target(small_problem):
     # root near -0.411; only the nearer target -0.597 keeps it
     config = small_problem.make_config([50.0, 50.0])
     targets = small_problem.target.lambdas()
-    matched = inverse._match_roots(config, targets, PI / (2.0 * mu(PI, small_problem.weight)))[0]
+    matched = inverse._match_roots([config], targets, PI / (2.0 * mu(PI, small_problem.weight)))[0, 0]
     assert targets[3:5] == pytest.approx([-0.597, -0.120], abs=1e-3)
     assert matched[3] == pytest.approx(-0.4108, abs=1e-4)
     assert np.isnan(matched[4])
@@ -184,7 +184,7 @@ def test_a_match_without_a_positive_alpha_is_penalised(small_problem):
     config = small_problem.make_config(params)
     targets = small_problem.target.lambdas()
     half = PI / (2.0 * mu(PI, small_problem.weight))
-    root = inverse._match_roots(config, targets, half)[0][1]
+    root = inverse._match_roots([config], targets, half)[0, 0, 1]
     assert root == pytest.approx(-2.307, abs=1e-3)
     assert eigensolver._per_root(config, [root])[0][0] < 0.0
     r = inverse.residuals(small_problem, params)

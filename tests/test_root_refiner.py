@@ -76,7 +76,7 @@ def test_eigensolver_roots_lie_in_their_brackets_and_match_brent(alpha, pq):
 def test_inverse_matches_lie_in_their_brackets_and_match_brent(alpha, pq):
     config = _config(alpha, *pq)
     targets = eigensolver.find_eigenvalues(_config(alpha, [0.0], [0.0]), -N, N).lambdas()
-    seen = _refined_brackets(lambda: inverse._match_roots(config, targets, _half(config)))
+    seen = _refined_brackets(lambda: inverse._match_roots([config], targets, _half(config)))
     _assert_brent_roots(config, seen)
 
 
@@ -119,4 +119,4 @@ def test_sweep_cap_raises_a_typed_error(monkeypatch):
         eigensolver.find_eigenvalues(config, -N, N)
     assert isinstance(info.value, DiracBVPError)
     with pytest.raises(RootRefinementError):
-        inverse._match_roots(config, targets, _half(config))
+        inverse._match_roots([config], targets, _half(config))
