@@ -125,10 +125,11 @@ class SpectralDataSet:
 # Root search
 # ---------------------------------------------------------------------------
 
-def _sign_changes(vals: np.ndarray) -> np.ndarray:
-    """Indices j where ``vals[j]`` and ``vals[j + 1]`` differ in sign; an exact
-    zero counts as positive, so it opens exactly one bracket."""
-    return np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+def _sign_changes(vals: np.ndarray) -> tuple:
+    """Where ``vals[..., j]`` and ``vals[..., j + 1]`` differ in sign along the
+    last axis, as :func:`np.nonzero` gives it, one index array per axis; an
+    exact zero counts as positive, so it opens exactly one bracket."""
+    return np.nonzero(np.signbit(vals[..., :-1]) != np.signbit(vals[..., 1:]))
 
 
 def _refine_roots(config: ProblemConfig, lo, hi, flo, fhi) -> np.ndarray:
@@ -224,7 +225,7 @@ def find_eigenvalues(config: ProblemConfig, n_min: int, n_max: int) -> SpectralD
         d = charfn.delta_many(config, np.concatenate(
             [pts, _contour_points(config, lo, hi, pts[1] - pts[0])]))
         vals = np.real(d[:len(pts)])
-        j = _sign_changes(vals)
+        j, = _sign_changes(vals)
         count, worst = _winding(d[len(pts):])
         if count == len(j) and worst < PI / 2.0:
             break

@@ -2,9 +2,10 @@
 
 Boundary coefficients and the weight are assumed known; only the finitely
 parametrized potential pair (p, q) is recovered, by one Levenberg-Marquardt
-least-squares solve on the weighted residual vector, sqrt(w)(lambda - lambda*)
-stacked on sqrt(w)(log alpha - log alpha*), with a finite-difference
-Jacobian.  Each target eigenvalue takes the nearest root of the candidate's
+least-squares solve (MINPACK's lmder, through scipy's ``leastsq``) on the
+weighted residual vector, sqrt(w)(lambda - lambda*) stacked on
+sqrt(w)(log alpha - log alpha*), with a finite-difference Jacobian.  Each
+target eigenvalue takes the nearest root of the candidate's
 Delta from one sign scan of the targets' windows, refined like the
 eigensolver's, and each root goes to one target only, the nearest.  A target
 with no root within half a spacing, or whose root went to another target,
@@ -15,7 +16,7 @@ scan batch and one refiner loop over all their windows and brackets, on an
 :class:`integrator.ConfigStack`, so the 2m candidates of a Jacobian take
 the Newton sweeps of the slowest of them; each candidate's roots are then
 matched on their own, and its residuals have the bits of its own
-evaluation.  A lone candidate runs on its own config.
+evaluation.  A lone candidate is a stack of one.
 """
 from __future__ import annotations
 
@@ -112,37 +113,28 @@ def synthesize_data(config: ProblemConfig, N: int) -> eigensolver.SpectralDataSe
 # Root matching: one scan of the targets' windows
 # ---------------------------------------------------------------------------
 
-def _on(configs: tuple, owner: np.ndarray):
-    """The config argument of a batch whose lambda b is on configs[owner[b]]:
-    the config itself when it is the only one, so a lone candidate takes the
-    plain path."""
-    return configs[0] if len(configs) == 1 else integrator.ConfigStack(configs, owner)
-
-
 def _match_roots(configs, targets: np.ndarray, half: float) -> np.ndarray:
     """For each of ``configs``, the nearest root of its Delta to each target
     and its alpha_n, as a (2, configs, targets) array, NaN for both where no
     root lies within ``half`` or the root is nearer another target.  One
     scan batch samples the windows [t - half, t + half] of all targets for
-    every config, at the points of a lone config; brackets open within a
-    config only, one refiner loop refines them all, and each config's
+    every config, at the points of a lone config, as one row per config;
+    one refiner loop refines the brackets of every row, and each config's
     roots are then matched on their own."""
     # every target is a sample point: near the truth the regula falsi start
     # is already converged, and Newton stops after one sweep
     pts = np.unique(targets[:, None] + np.linspace(-half, half, eigensolver._SCAN_STEPS + 1))
     configs = tuple(configs)
-    owner = np.repeat(np.arange(len(configs)), len(pts))
-    pts = np.tile(pts, len(configs))
-    vals = charfn.delta_many(_on(configs, owner), pts).real
-    j = eigensolver._sign_changes(vals)
-    j = j[owner[j] == owner[j + 1]]
+    scan = integrator.ConfigStack(configs, np.repeat(np.arange(len(configs)), len(pts)))
+    vals = charfn.delta_many(scan, np.tile(pts, len(configs))).real.reshape(len(configs), -1)
+    owner, j = eigensolver._sign_changes(vals)
     found = np.full((2, len(configs), len(targets)), np.nan)
     if len(j) == 0:
         return found
-    refined = eigensolver._refine_roots(_on(configs, owner[j]), pts[j], pts[j + 1],
-                                        vals[j], vals[j + 1])[:2]
+    refined = eigensolver._refine_roots(integrator.ConfigStack(configs, owner), pts[j],
+                                        pts[j + 1], vals[owner, j], vals[owner, j + 1])[:2]
     for i in range(len(configs)):
-        roots, alphas = refined[:, owner[j] == i]
+        roots, alphas = refined[:, owner == i]
         if len(roots) == 0:
             continue
         dist = np.abs(targets[:, None] - roots)
@@ -213,24 +205,26 @@ class _BudgetSpent(Exception):
 def reconstruct(problem: InverseProblem, init,
                 max_evals: int = 2000) -> ReconstructionResult:
     """Fit the potential parameters to the target data by one
-    Levenberg-Marquardt solve on :func:`residuals`.
+    Levenberg-Marquardt solve on :func:`residuals`: scipy's ``leastsq``, with
+    ftol = xtol = gtol = 1e-8, MINPACK's own scaling (diag = None) on every
+    scipy, and at most 100 * 2m residual requests by MINPACK's count.
 
-    The Jacobian is scipy's 2-point rule, h = sign(x) sqrt(eps) max(1, |x|)
+    The Jacobian is the 2-point rule, h = sign(x) sqrt(eps) max(1, |x|)
     and dx = (x + h) - x per parameter, from the residuals the solve last
     took, at x, and those of the 2m candidates x + h e_k, evaluated as one
     stack.  Every residual evaluation counts against ``max_evals``, the
-    candidates included, in the order scipy's own differences take them;
-    the solve stops after exactly that many.  A second request for the
-    residuals or the Jacobian at the point just evaluated, as scipy before
-    1.16 makes at the start, evaluates nothing.  ``trace`` holds the best
-    misfit after each evaluation, and ``converged`` is the solver's own
-    success, False when the budget ran out.  ``init`` must fit the basis,
-    with finite values.
+    candidates included, in the order of the parameters; the solve stops
+    after exactly that many.  A second request for the residuals or the
+    Jacobian at the point just evaluated, as ``leastsq``'s input checks and
+    then ``lmder`` make at the start, evaluates nothing.  ``trace`` holds
+    the best misfit after each evaluation, and ``converged`` is the
+    solver's own success (MINPACK's info 1-4), False when the budget ran
+    out.  ``init`` must fit the basis, with finite values.
     """
     if max_evals < 1:
         raise ConfigError(f"max_evals = {max_evals} must be >= 1")
     # imported here, so that importing the package does not load scipy
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     init = np.asarray(init, dtype=float)
     problem.basis.to_potential(init)    # raises ConfigError unless init fits the basis
@@ -250,7 +244,7 @@ def reconstruct(problem: InverseProblem, init,
     def objective(x):
         if np.array_equal(x, last["x"]):
             return last["r"]
-        # scipy's "lm" does not count its Jacobian evaluations against max_nfev
+        # lmder does not count its Jacobian evaluations against maxfev
         if len(trace) >= max_evals:
             raise _BudgetSpent
         r = residuals(problem, x)
@@ -259,7 +253,7 @@ def reconstruct(problem: InverseProblem, init,
         return r
 
     def jacobian(x):
-        # scipy evaluates the residuals at x first unless x is its last point
+        # lmder evaluates the residuals at x first unless x is its last point
         r0 = objective(x)
         if last["J"] is not None:
             return last["J"]
@@ -280,7 +274,10 @@ def reconstruct(problem: InverseProblem, init,
         return last["J"]
 
     try:
-        converged = bool(least_squares(objective, init, jac=jacobian, method="lm").success)
+        # full output, so that a stop on info 5-8 returns its info and warns of nothing
+        info = leastsq(objective, init, Dfun=jacobian, full_output=True, ftol=1e-8,
+                       xtol=1e-8, gtol=1e-8, maxfev=100 * len(init))[-1]
+        converged = info in (1, 2, 3, 4)
     except _BudgetSpent:
         converged = False
 

@@ -10,7 +10,7 @@ typed error.
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.optimize.elementwise import find_root
+from scipy.optimize import brentq
 
 from diracbvp import charfn, eigensolver
 from diracbvp.errors import MissingRootError
@@ -31,15 +31,14 @@ def _scan_range(config, n_min, n_max):
 def _dense_roots(config, lo, hi, s):
     """Every sample where Delta vanishes and every sign change between
     samples on [lo, hi] at step s / 128, the latter solved by scipy's
-    elementwise Chandrupatla bracketing."""
+    Brent bracketing."""
     pts = np.linspace(lo, hi, int(np.ceil((hi - lo) / s * DENSE)) + 1)
     vals = np.real(charfn.delta_many(config, pts))
     j = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    f = lambda x: np.real(charfn.delta_many(config, x.ravel())).reshape(x.shape)
-    res = find_root(f, (pts[j], pts[j + 1]),
-                    tolerances=dict(xatol=1e-15, xrtol=4.0 * np.finfo(float).eps))
-    assert np.all(res.success)
-    return np.sort(np.concatenate([res.x, pts[vals == 0.0]]))
+    f = lambda x: float(np.real(charfn.delta_many(config, [x])[0]))
+    roots = [brentq(f, pts[k], pts[k + 1], xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+             for k in j]
+    return np.sort(np.concatenate([roots, pts[vals == 0.0]]))
 
 
 def _contour_count(config, lo, hi, step):

@@ -4,16 +4,14 @@ The 2m candidates of a finite-difference Jacobian share one scan batch and
 one refiner loop on an ``integrator.ConfigStack``.  Each candidate's
 residuals must have the bits of its own evaluation, whatever its stack-mates,
 their paths' lengths or their failures; and ``reconstruct`` must be the
-least-squares solve that scipy's own 2-point differences would make, one
-residual evaluation at a time.
+least-squares solve that takes the same 2-point differences one residual
+evaluation at a time, on every supported scipy.
 """
-import inspect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 import scipy.optimize
-from scipy.optimize import OptimizeResult, _minpack, least_squares
+from scipy.optimize import OptimizeResult, _minpack, leastsq
 
 from diracbvp import charfn, eigensolver, integrator, inverse
 from diracbvp.errors import ConfigError
@@ -153,18 +151,15 @@ def test_a_converged_root_keeps_its_bits_beside_a_slower_one():
 # The solve
 # ---------------------------------------------------------------------------
 
-#: from scipy 1.16 on, "lm" takes its finite differences in Python with the
-#: 2-point rule of approx_derivative (the release that added ``workers``);
-#: before, MINPACK's lmdif took its own, with another step
-SCIPY_DIFFERENCES_IN_PYTHON = "workers" in inspect.signature(least_squares).parameters
-
-
 def _sequential(problem, init, max_evals):
-    """reconstruct's solve with scipy's own differences: one residual
-    evaluation per call, under the same budget."""
+    """reconstruct's leastsq solve with the 2m candidates of each Jacobian
+    evaluated one at a time through inverse.residuals, under the same
+    budget; a repeated request at the point just evaluated evaluates
+    nothing."""
     trace, best = [], {"x": np.array(init, float), "f": np.inf}
+    last = {"x": None, "r": None, "J": None}
 
-    def objective(x):
+    def evaluate(x):
         if len(trace) >= max_evals:
             raise inverse._BudgetSpent
         r = inverse.residuals(problem, x)
@@ -174,8 +169,27 @@ def _sequential(problem, init, max_evals):
         trace.append(best["f"])
         return r
 
+    def objective(x):
+        if not np.array_equal(x, last["x"]):
+            last.update(x=np.array(x), r=evaluate(x), J=None)
+        return last["r"]
+
+    def jacobian(x):
+        r0 = objective(x)
+        if last["J"] is None:
+            columns = []
+            for k in range(len(x)):
+                xk = np.array(x)
+                xk[k] += (np.finfo(float).eps ** 0.5 * (1.0 if x[k] >= 0.0 else -1.0)
+                          * max(1.0, abs(x[k])))
+                columns.append((evaluate(xk) - r0) / (xk[k] - x[k]))
+            last["J"] = np.transpose(columns)
+        return last["J"]
+
     try:
-        converged = bool(least_squares(objective, np.array(init, float), method="lm").success)
+        info = leastsq(objective, np.array(init, float), Dfun=jacobian, full_output=True,
+                       ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=100 * len(init))[-1]
+        converged = info in (1, 2, 3, 4)
     except inverse._BudgetSpent:
         converged = False
     return inverse.ReconstructionResult(parameters=tuple(float(v) for v in best["x"]),
@@ -189,8 +203,6 @@ SOLVES = {
 }
 
 
-@pytest.mark.skipif(not SCIPY_DIFFERENCES_IN_PYTHON,
-                    reason="scipy < 1.16 differences with MINPACK's own step")
 @pytest.mark.parametrize("name", sorted(SOLVES))
 @pytest.mark.parametrize("budget", [2000, 2, 4, 8])
 def test_reconstruct_is_the_sequential_solve(name, budget):
@@ -228,28 +240,33 @@ def _least_squares_before_1_16(fun, x0, jac, method):
     return OptimizeResult(x=x, success=status in (1, 2, 3, 4))
 
 
-@pytest.mark.parametrize("name", sorted(SOLVES))
-@pytest.mark.parametrize("budget", [2000, 8])
-def test_the_requests_of_scipy_before_1_16_evaluate_each_point_once(name, budget, monkeypatch):
-    # the repeated residuals and Jacobian at the start cost no evaluation, so
-    # the older call sequence makes the solve of the current one
-    problem, init = SOLVES[name]
-    expected = inverse.reconstruct(problem, init, max_evals=budget)
+#: piecewise m = 2 truth, and a far start that MINPACK's unit scaling
+#: (diag = 1) leaves at a misfit near 6.7e5, 1.83 away, after 105 evaluations
+FAR_TRUTH = [0.28669045283418404, 0.5921416037240055, -0.43629035974254704,
+             0.6327171830626017]
+FAR_INIT = [1.48878187209734, -1.925931129319157, 0.8299822693487093, -1.9952012656526854]
+
+
+def test_a_far_start_is_solved_whatever_least_squares_would_do(monkeypatch):
+    # the solve scales by the Jacobian (diag = None) on every scipy, so the
+    # unit scaling of least_squares before scipy 1.16 cannot reach it
+    problem = _problem("piecewise", FAR_TRUTH[:2], FAR_TRUTH[2:], n_max=10,
+                       weight=Weight(alpha=2.0, a=PI / 2.0))
     monkeypatch.setattr(scipy.optimize, "least_squares", _least_squares_before_1_16)
-    assert inverse.reconstruct(problem, init, max_evals=budget) == expected
+    result = inverse.reconstruct(problem, FAR_INIT, max_evals=400)
+    assert result.converged
+    assert np.max(np.abs(np.array(result.parameters) - FAR_TRUTH)) <= 1e-10
 
 
-@pytest.mark.skipif(not SCIPY_DIFFERENCES_IN_PYTHON,
-                    reason="the counts are those of scipy >= 1.16's lm path")
-def test_the_seed_1_round_takes_at_most_36_sweeps(monkeypatch):
+def test_the_seed_1_round_takes_at_most_31_sweeps(monkeypatch):
     sweeps = []
     psi0_many = integrator.psi0_many
     monkeypatch.setattr(integrator, "psi0_many",
                         lambda config, lams: sweeps.append(len(lams)) or psi0_many(config, lams))
     result = inverse.reconstruct(SEED_1, SEED_1_INIT, max_evals=30)
-    assert (result.iterations, result.converged) == (15, True)
-    # one candidate at a time, the same round takes 52 sweeps of the same 1204 lambda
-    assert len(sweeps) <= 36 and sum(sweeps) == 1204
+    assert (result.iterations, result.converged) == (13, True)
+    # one candidate at a time, the same round takes 46 sweeps of the same 1050 lambda
+    assert len(sweeps) <= 31 and sum(sweeps) == 1050
 
 
 @pytest.mark.parametrize("init", [[np.nan, 0.0], [np.inf, 0.0]])
