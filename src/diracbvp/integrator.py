@@ -32,9 +32,9 @@ one column per config, each lambda reads its own config's column, and a
 shorter path is padded with zero rows, whose step is the identity, so each
 lambda's psi(0) has the bits of its own config's sweep.
 :func:`propagate_many` writes each cell end of the same march into one
-(N+1, 2, batch) buffer allocated once, then fills the nodes inside each
-cell of several steps by one blocked fan-out from the cell's first state,
-so psi(0) has the trajectory's bits by construction.  It returns the
+(N+1, 2, batch) buffer allocated once, then, in one blocked fan-out over
+all cells, every node inside a cell as one product with its cell's first
+state, so psi(0) has the trajectory's bits by construction.  It returns the
 buffer as its (batch, N+1, 2) transpose, without a copy; a leftward
 propagation sweeps the leftward path, of reversed, negated cells, into a
 reversed view of the buffer.  Matrices are built a run of columns at a time
@@ -102,7 +102,7 @@ class _Path:
     Omega = [[a0 + lambda a1, b0 + lambda b1], [c0 + lambda c1, -(a0 + lambda a1)]]
     over a stretch of one cell, from one of its steps' samples and rho; it
     is negated on the leftward path.  The rows are built on first use: the
-    cell ends by every sweep, the nodes inside a cell only by a trajectory.
+    cell ends by every sweep, the nodes inside all cells only by a trajectory.
     """
 
     xs: np.ndarray           # (N+1,)
@@ -131,13 +131,13 @@ class _Path:
         return self.cells[1:].tolist()
 
     @cached_property
-    def inner(self) -> list:
-        """(first node, last node, rows) of each cell of several steps: the
-        rows from its first node to each node inside it, exact on a constant
-        piece, so the state there is one product with the state at the
-        first node."""
-        return [(c0, c1, self._omega(np.arange(c0, c1 - 1), c0))
-                for c0, c1 in zip(self.cells[:-1].tolist(), self.ends) if c1 - c0 > 1]
+    def inner(self) -> tuple:
+        """(rows, starts, nodes) over every node inside a cell, in sweep
+        order: the (6, K, 1) rows from its cell's first node to it, exact
+        on a constant piece, that first node, and the node itself."""
+        nodes = np.setdiff1d(np.arange(len(self.xs)), self.cells)
+        starts = self.cells[np.searchsorted(self.cells, nodes) - 1]
+        return self._omega(nodes - 1, starts)[:, :, None], starts, nodes
 
 
 @dataclass
@@ -313,7 +313,7 @@ def _blocks(rows: np.ndarray, lams: np.ndarray, owner=slice(None)):
     (k, 2, 2, batch) buffer, so column j reads one contiguous (2, 2, batch)
     block.  Lambda b reads the rows rows[:, :, owner[b]]; the default
     ``owner`` keeps the one trailing column for the whole batch."""
-    k = min(rows.shape[1], max(1, _BLOCK // max(1, len(lams))))
+    k = max(1, min(rows.shape[1], _BLOCK // max(1, len(lams))))
     m = np.empty((k, 2, 2, len(lams)), dtype=complex)
     for j0 in range(0, rows.shape[1], k):
         yield j0, _step_matrices(rows[:, j0:j0 + k, owner], lams, m)
@@ -341,16 +341,17 @@ def _march(rows: np.ndarray, owner, lams: np.ndarray, state: np.ndarray,
                 out[nodes[j]] = state
 
 
-def _fan_out(rows: np.ndarray, lams: np.ndarray, state: np.ndarray,
-             out: np.ndarray) -> None:
-    """Write exp(Omega) of column j of the (6, k, 1) ``rows`` times the
-    (2, batch) ``state`` into out[j] for every column, a block at a time
-    with the products and sums of :func:`_march`, the products in place of
-    the matrices."""
-    column = state[:, None]
+def _fan_out(rows: np.ndarray, starts: np.ndarray, nodes: np.ndarray,
+             lams: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(Omega) of column j of the (6, K, 1) ``rows`` times the
+    state out[starts[j]] into out[nodes[j]], a block at a time with the
+    products and sums of :func:`_march`; a block may span several cells."""
     for j0, mb in _blocks(rows, lams):
-        np.multiply(mb, column, out=mb)
-        np.add(mb[:, 0], mb[:, 1], out=out[j0:j0 + len(mb)])
+        at = slice(j0, j0 + len(mb))
+        state = out[starts[at]]
+        np.multiply(mb, state[:, :, None], out=mb)
+        np.add(mb[:, 0], mb[:, 1], out=state)
+        out[nodes[at]] = state
 
 
 def _sweep(rows: np.ndarray, owner, lams: np.ndarray, init, out=None,
@@ -359,16 +360,15 @@ def _sweep(rows: np.ndarray, owner, lams: np.ndarray, init, out=None,
     :func:`_blocks` for ``owner``) and return the state it ends on.  Given a
     buffer ``out`` (N+1, 2, batch) in the sweep order of the one ``path``
     whose rows these are, also write the state at every cell end into it,
-    and then every node inside a cell as one product with the state at the
-    cell's first node.  The cell ends are the same march either way, so
-    psi(0) has the same bits with and without a trajectory."""
+    and then, in one fan-out, every node inside a cell as one product with
+    the state at its cell's first node.  The cell ends are the same march
+    either way, so psi(0) has the same bits with and without a trajectory."""
     state = np.array(init, dtype=complex, order="C")
     # non-finite states are detected and reported by the caller; keep the sweep quiet
     with np.errstate(over="ignore", invalid="ignore"):
         _march(rows, owner, lams, state, out, None if out is None else path.ends)
         if out is not None:
-            for c0, c1, inner in path.inner:
-                _fan_out(inner[:, :, None], lams, out[c0], out[c0 + 1:c1])
+            _fan_out(*path.inner, lams, out)
     return state
 
 

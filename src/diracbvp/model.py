@@ -29,7 +29,8 @@ _X_TOL = 1e-12
 
 def _check_domain(x) -> np.ndarray:
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < -_X_TOL) or np.any(xv > PI + _X_TOL):
+    # NaN fails both comparisons, so it is outside too
+    if not (np.all(xv >= -_X_TOL) and np.all(xv <= PI + _X_TOL)):
         raise DomainError(f"x = {x} outside [0, pi]")
     return xv
 

@@ -87,10 +87,10 @@ def test_blocked_sweep_matches_the_stepwise_sweep(endpoint, kind, imag, batch):
     # one-step cells across the jump and fan out nothing: one block at
     # batch 1 and 7, blocks of 10 with a partial last one at 400, one step
     # each at 5000.  The piecewise cases march their 4 cell ends (42, 22, 22
-    # and 42 steps long), one block but at 5000, then write the 41, 21, 21 and 41
-    # nodes inside each cell from its first state: one block a cell at
-    # batch 1 and 7, blocks of 10 with a partial last one at 400, one node
-    # each at 5000
+    # and 42 steps long), one block but at 5000, then write the 124 nodes
+    # inside the cells (41, 21, 21 and 41), each from its cell's first
+    # state: one block at batch 1 and 7, blocks of 10 that run across cell
+    # bounds with a partial last one at 400, one node each at 5000
     config = reference_config(2.0, 128, POTENTIALS[kind])
     lams = _lams(batch, imag)
     ys = _sweep(config, lams, endpoint)
@@ -117,8 +117,11 @@ def test_block_size_changes_no_value(monkeypatch, endpoint, block):
 
 
 @pytest.mark.parametrize("endpoint", ["left", "right"])
-def test_a_value_does_not_depend_on_its_batch(endpoint):
-    config = reference_config(2.0, 128, POTENTIALS["cosine"])
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+def test_a_value_does_not_depend_on_its_batch(endpoint, kind):
+    # in the batch every fan-out block holds one node; alone, a lambda's
+    # one block spans every cell
+    config = reference_config(2.0, 128, POTENTIALS[kind])
     batch = np.concatenate([_lams(4997, 1.0), PROBE])
     together = _sweep(config, batch, endpoint)[-len(PROBE):]
     for lam, ys in zip(PROBE, together):

@@ -2,11 +2,11 @@
 
 The grid keeps the cells of a rightward and of a leftward sweep over all of
 [0, pi], each step with its side's rho.  A psi(0) sweep of a piecewise
-potential is then one build of its few cell matrices, a new config's grid
-samples p and q once each, a psi(0)-only solve builds the rows of the cell
-ends and never those of every node, and a block of matrices sums the
-small-|w| series only where one of its entries needs it, without changing
-the bits of the others.
+potential is then one build of its few cell matrices and a trajectory
+two, a new config's grid samples p and q once each, a psi(0)-only solve
+builds the rows of the cell ends and never those of every node, and a
+block of matrices sums the small-|w| series only where one of its entries
+needs it, without changing the bits of the others.
 """
 import re
 
@@ -130,9 +130,9 @@ def test_cell_end_rows_are_the_per_node_rows_at_each_cell_end(potential, a, alph
     for path in (built.forward, built.backward):
         # the end rows first, as a psi(0) sweep builds them; then the rows
         # of the nodes inside the cells, each over [cell start, node]
-        inner = [(rows, np.arange(c0 + 1, c1), np.full(c1 - c0 - 1, c0))
-                 for c0, c1, rows in path.inner]
-        for rows, nodes, starts in [(path.end_omega, path.cells[1:], path.cells[:-1]), *inner]:
+        inner_rows, inner_starts, inner_nodes = path.inner
+        for rows, nodes, starts in [(path.end_omega, path.cells[1:], path.cells[:-1]),
+                                    (inner_rows[:, :, 0], inner_nodes, inner_starts)]:
             # the step that reaches each node, as an index into xs
             steps = n - nodes if path.leftward else nodes - 1
             ref = integrator._omega_rows(np.abs(path.xs[nodes] - path.xs[starts]),
@@ -141,7 +141,7 @@ def test_cell_end_rows_are_the_per_node_rows_at_each_cell_end(potential, a, alph
             # a cell's start is the last cell end before its nodes
             assert np.array_equal(starts, path.cells[np.searchsorted(path.cells, nodes) - 1])
         # every node past the first is one cell end or one inner node
-        nodes = np.concatenate([path.cells[1:], *(nodes for _, nodes, _ in inner)])
+        nodes = np.concatenate([path.cells[1:], inner_nodes])
         assert np.array_equal(np.sort(nodes), np.arange(1, n + 1))
 
 
@@ -163,6 +163,36 @@ def test_a_cosine_psi0_sweep_and_trajectory_build_each_step_once(monkeypatch):
     # every step is a cell, so the trajectory reads only the cell-end rows
     # the psi(0) sweep built
     assert sum(widths) == len(integrator.build_grid(config).xs) - 1
+
+
+def test_a_trajectory_is_two_matrix_passes(monkeypatch):
+    # the piecewise config of the command-line checks: 5 cells, each of
+    # several steps, on each path
+    p, q = (0.3, -0.2, 0.1), (-0.1, 0.25)
+    boundary, weight = reference_config().boundary, Weight(alpha=2.0, a=1.5)
+    config = ProblemConfig(boundary, weight, PotentialSpec.piecewise(p, q), 256)
+    grid = integrator.build_grid(config)
+    for path in (grid.forward, grid.backward):
+        assert np.count_nonzero(np.diff(path.cells) > 1) == 5
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0].shape[1])
+        return build(*args)
+
+    build = integrator._step_matrices
+    monkeypatch.setattr(integrator, "_step_matrices", spy)
+    lams = np.array([0.7 + 0.2j])
+    for many in (integrator.phi_many, integrator.psi_many):
+        calls.clear()
+        many(config, lams)
+        # one pass over the cell ends, one over every node inside a cell
+        assert calls == [5, len(grid.xs) - 1 - 5]
+    # on a cosine every step is a cell, so there is no node inside one
+    cosine = ProblemConfig(boundary, weight, PotentialSpec.cosine(p, q), 256)
+    calls.clear()
+    integrator.psi_many(cosine, lams)
+    assert calls == [len(integrator.build_grid(cosine).xs) - 1]
 
 
 @pytest.mark.parametrize("potential", [

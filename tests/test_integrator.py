@@ -114,7 +114,7 @@ def test_value_at_returns_nearest_node(r0):
     np.testing.assert_allclose(traj.value_at(PI), traj.ys[-1])
 
 
-@pytest.mark.parametrize("x", [5.0, -3.0])
+@pytest.mark.parametrize("x", [5.0, -3.0, np.nan])
 def test_value_at_outside_the_interval_raises(r0, x):
     traj = integrator.phi(r0, 1.0)
     with pytest.raises(DomainError):

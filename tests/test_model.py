@@ -84,6 +84,12 @@ def test_domain_guard():
         mu(-0.5, w)
     with pytest.raises(DomainError):
         rho_at(PI + 0.5, w)
+    # NaN is no abscissa in [0, pi], alone or among ones that are
+    pot = PotentialSpec.piecewise([1.0, 2.0], [3.0, 4.0])
+    for at in (lambda x: mu(x, w), lambda x: rho_at(x, w), pot.p_at, pot.q_at):
+        for x in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(DomainError):
+                at(x)
 
 
 # ---------------------------------------------------------------------------
