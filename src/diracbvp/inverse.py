@@ -42,6 +42,8 @@ class PotentialBasis:
     def __post_init__(self):
         if self.kind not in ("piecewise", "cosine"):
             raise ConfigError(f"unsupported basis kind {self.kind!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ConfigError(f"m = {self.m!r} must be an integer")
         if self.m < 1:
             raise ConfigError("basis needs at least one parameter per component")
 
@@ -212,65 +214,58 @@ def reconstruct(problem: InverseProblem, init,
     The Jacobian is the 2-point rule, h = sign(x) sqrt(eps) max(1, |x|)
     and dx = (x + h) - x per parameter, from the residuals the solve last
     took, at x, and those of the 2m candidates x + h e_k, evaluated as one
-    stack.  Every residual evaluation counts against ``max_evals``, the
-    candidates included, in the order of the parameters; the solve stops
-    after exactly that many.  A second request for the residuals or the
-    Jacobian at the point just evaluated, as ``leastsq``'s input checks and
-    then ``lmder`` make at the start, evaluates nothing.  ``trace`` holds
-    the best misfit after each evaluation, and ``converged`` is the
-    solver's own success (MINPACK's info 1-4), False when the budget ran
-    out.  ``init`` must fit the basis, with finite values.
+    stack.  Every residual evaluation counts against ``max_evals``, an int
+    >= 1, the candidates included, in the order of the parameters; the
+    solve stops after exactly that many.  A second request for the
+    residuals or the Jacobian at the point just evaluated, as ``leastsq``'s
+    input checks and then ``lmder`` make at the start, evaluates nothing.
+    The result is read off the record of every evaluation: ``parameters``
+    and ``misfit`` are those of the first least misfit, ``iterations`` is
+    the number of evaluations and ``trace`` the running minimum of the
+    misfits.  ``converged`` is the solver's own success (MINPACK's info
+    1-4), False when the budget ran out.  ``init`` must fit the basis, with
+    finite values.
     """
-    if max_evals < 1:
-        raise ConfigError(f"max_evals = {max_evals} must be >= 1")
+    if isinstance(max_evals, bool) or not isinstance(max_evals, int) or max_evals < 1:
+        raise ConfigError(f"max_evals = {max_evals!r} must be an integer >= 1")
     # imported here, so that importing the package does not load scipy
     from scipy.optimize import leastsq
 
     init = np.asarray(init, dtype=float)
     problem.basis.to_potential(init)    # raises ConfigError unless init fits the basis
 
-    trace: list = []
-    best = {"x": init.copy(), "f": np.inf}
+    # every evaluation in order: its point and its misfit
+    points, misfits = [], []
     # the solver's last residual evaluation: its point, its residuals and,
     # once taken there, the Jacobian, which serve a repeated request
     last = {"x": None, "r": None, "J": None}
 
-    def record(x, r):
-        f = float(np.sum(r ** 2))
-        if f < best["f"]:
-            best["f"], best["x"] = f, np.array(x)
-        trace.append(best["f"])
+    def evaluate(stack):
+        # the budget may end inside a stack; lmder does not count its
+        # Jacobian evaluations against maxfev
+        fit = stack[:max_evals - len(misfits)]
+        if len(fit):
+            rs = _stacked_residuals(problem, fit)
+            points.extend(fit)
+            misfits.extend(float(np.sum(r ** 2)) for r in rs)
+        if len(fit) < len(stack):
+            raise _BudgetSpent
+        return rs
 
     def objective(x):
-        if np.array_equal(x, last["x"]):
-            return last["r"]
-        # lmder does not count its Jacobian evaluations against maxfev
-        if len(trace) >= max_evals:
-            raise _BudgetSpent
-        r = residuals(problem, x)
-        record(x, r)
-        last.update(x=np.array(x), r=r, J=None)
-        return r
+        if not np.array_equal(x, last["x"]):
+            last.update(x=np.array(x), r=evaluate(np.array([x]))[0], J=None)
+        return last["r"]
 
     def jacobian(x):
         # lmder evaluates the residuals at x first unless x is its last point
         r0 = objective(x)
-        if last["J"] is not None:
-            return last["J"]
-        h = (np.finfo(float).eps ** 0.5 * np.where(x >= 0.0, 1.0, -1.0)
-             * np.maximum(1.0, np.abs(x)))
-        stack = np.tile(x, (len(x), 1))
-        np.fill_diagonal(stack, x + h)
-        # the budget may end inside the Jacobian
-        stack = stack[:max_evals - len(trace)]
-        if len(stack) == 0:
-            raise _BudgetSpent
-        rs = _stacked_residuals(problem, stack)
-        for xk, rk in zip(stack, rs):
-            record(xk, rk)
-        if len(stack) < len(x):
-            raise _BudgetSpent
-        last["J"] = ((rs - r0) / ((x + h) - x)[:, None]).T
+        if last["J"] is None:
+            h = (np.finfo(float).eps ** 0.5 * np.where(x >= 0.0, 1.0, -1.0)
+                 * np.maximum(1.0, np.abs(x)))
+            stack = np.tile(x, (len(x), 1))
+            np.fill_diagonal(stack, x + h)
+            last["J"] = ((evaluate(stack) - r0) / ((x + h) - x)[:, None]).T
         return last["J"]
 
     try:
@@ -281,11 +276,12 @@ def reconstruct(problem: InverseProblem, init,
     except _BudgetSpent:
         converged = False
 
-    return ReconstructionResult(parameters=tuple(float(v) for v in best["x"]),
-                                misfit=float(best["f"]),
-                                iterations=len(trace),
+    best = np.argmin(misfits)
+    return ReconstructionResult(parameters=tuple(float(v) for v in points[best]),
+                                misfit=misfits[best],
+                                iterations=len(misfits),
                                 converged=converged,
-                                trace=tuple(trace))
+                                trace=tuple(np.minimum.accumulate(misfits).tolist()))
 
 
 def uniqueness_probe(config_a: ProblemConfig, config_b: ProblemConfig,

@@ -188,6 +188,8 @@ class ProblemConfig:
     grid_points: int = 2048
 
     def __post_init__(self):
+        if isinstance(self.grid_points, bool) or not isinstance(self.grid_points, int):
+            raise ConfigError(f"grid_points = {self.grid_points!r} must be an integer")
         if self.grid_points < 16:
             raise ConfigError(f"grid_points = {self.grid_points} must be >= 16")
 

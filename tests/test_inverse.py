@@ -39,6 +39,9 @@ def test_basis_validation():
         inverse.PotentialBasis("spline", 2)
     with pytest.raises(ConfigError):
         inverse.PotentialBasis("cosine", 0)
+    for m in (1.5, 2.0, True):
+        with pytest.raises(ConfigError, match="integer"):
+            inverse.PotentialBasis("piecewise", m)
     basis = inverse.PotentialBasis("cosine", 3)
     assert basis.dim == 6
     with pytest.raises(ValueError):

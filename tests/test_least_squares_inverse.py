@@ -1,9 +1,9 @@
 """The inverse as one least-squares solve on the weighted residual vector.
 
 The misfit is the squared norm of :func:`inverse.residuals`, penalty
-included; the evaluation budget stops the solve after exactly that many
-residual evaluations, finite-difference ones included; and from a cold
-start the criterion-10 problem converges in a few dozen evaluations.
+included; the evaluation budget, an integer, stops the solve after exactly
+that many residual evaluations, finite-difference ones included; and from a
+cold start the criterion-10 problem converges in a few dozen evaluations.
 """
 from dataclasses import replace
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from diracbvp import inverse
+from diracbvp.errors import ConfigError
 from diracbvp.model import PotentialSpec
 
 from conftest import reference_config
@@ -41,6 +42,12 @@ def test_budget_stops_the_solve_exactly(small_problem, budget):
     assert not result.converged
     assert np.all(np.diff(result.trace) <= 0.0)
     assert result.misfit == result.trace[-1]
+
+
+@pytest.mark.parametrize("budget", [30.0, 2.5, True, np.int64(5)])
+def test_the_budget_is_an_integer(small_problem, budget):
+    with pytest.raises(ConfigError, match="integer"):
+        inverse.reconstruct(small_problem, [0.0, 0.0], max_evals=budget)
 
 
 def test_criterion_10_problem_converges_in_few_evaluations():

@@ -45,6 +45,10 @@ def test_weight_rejects_bad_parameters(alpha, a):
 def test_config_rejects_tiny_grid():
     with pytest.raises(ConfigError):
         reference_config(grid_points=8)
+    # an int that is not a bool, as in a configuration document
+    for grid_points in (256.5, 256.0, np.int64(256), True):
+        with pytest.raises(ConfigError, match="integer"):
+            reference_config(grid_points=grid_points)
 
 
 # ---------------------------------------------------------------------------

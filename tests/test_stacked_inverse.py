@@ -204,13 +204,32 @@ SOLVES = {
 
 
 @pytest.mark.parametrize("name", sorted(SOLVES))
-@pytest.mark.parametrize("budget", [2000, 2, 4, 8])
+@pytest.mark.parametrize("budget", [2000, 2, 4, 8, 18])
 def test_reconstruct_is_the_sequential_solve(name, budget):
     # a budget of 2 or 8 ends inside a Jacobian of either problem, one of 4
-    # inside the first Jacobian of the m = 2 problem, of 4 candidates
+    # inside the first Jacobian of the m = 2 problem, of 4 candidates, and
+    # one of 18 inside its fourth, after three steps
     problem, init = SOLVES[name]
     result = inverse.reconstruct(problem, init, max_evals=budget)
     assert result == _sequential(problem, init, budget)
+
+
+@pytest.mark.parametrize("name, budget, stacks", [
+    ("seed-1", 2000, [1, 2] * 4 + [1]),
+    ("piecewise-2", 2000, [1, 4] * 5 + [1]),
+    ("piecewise-2", 18, [1, 4] * 3 + [1, 2]),
+])
+def test_a_solve_evaluates_one_stack_per_request(name, budget, stacks, monkeypatch):
+    # the residuals at a new point are a stack of one, a Jacobian its 2m
+    # candidates, cut where the budget ends
+    sizes = []
+    stacked = inverse._stacked_residuals
+    monkeypatch.setattr(inverse, "_stacked_residuals",
+                        lambda problem, stack: sizes.append(len(stack)) or stacked(problem, stack))
+    problem, init = SOLVES[name]
+    result = inverse.reconstruct(problem, init, max_evals=budget)
+    assert sizes == stacks
+    assert result.iterations == sum(stacks)
 
 
 def test_a_jacobian_scan_is_one_psi0_batch(small_problem, monkeypatch):
